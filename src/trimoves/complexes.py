@@ -125,13 +125,11 @@ class Complex:
         return self.simplexes_of_dim(self._dim)
 
     def maximal_simplexes(self) -> list[Simplex]:
-        """Simplexes not properly contained in any other simplex."""
-        out = []
-        for s in self._simplexes:
-            cof = self.cofaces(s)
-            if len(cof) == 1:
-                out.append(s)
-        return sorted(out)
+        """Simplexes not properly contained in any other simplex.  The set is
+        downward-closed, so these are exactly the simplexes that are no
+        simplex's facet."""
+        covered = {f for s in self._simplexes for f in facets(s)}
+        return sorted(self._simplexes - covered)
 
     def f_vector(self) -> tuple[int, ...]:
         """(p_0, ..., p_n): count of i-simplexes by dimension."""

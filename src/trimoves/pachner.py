@@ -53,10 +53,6 @@ class PachnerMove:
         return frozenset(self.b) if len(self.b) == 1 else frozenset()
 
 
-def invert(move: PachnerMove) -> PachnerMove:
-    return move.inverted()
-
-
 @dataclass(frozen=True)
 class MoveSequence:
     """An ordered, replayable move log with endpoint digests."""
@@ -209,8 +205,6 @@ def replay_verified(
     in any intermediate complex is caught at the move that creates it;
     full global checks run periodically and at both endpoints.
     """
-    from itertools import combinations as _comb
-
     if start.digest() != seq.start_digest:
         raise MoveError("start complex does not match sequence start digest")
     n = start.dimension
@@ -220,7 +214,7 @@ def replay_verified(
     ridge_count: dict[Simplex, int] = {}
     for t in start.simplexes:
         if len(t) == n + 1:
-            for r in _comb(t, n):
+            for r in combinations(t, n):
                 ridge_count[r] = ridge_count.get(r, 0) + 1
     if full_check_every is None:
         full_check_every = max(1, len(seq.moves) // 10)
@@ -230,12 +224,12 @@ def replay_verified(
             touched: set[Simplex] = set()
             for s in removed:
                 if len(s) == n + 1:
-                    for r in _comb(s, n):
+                    for r in combinations(s, n):
                         ridge_count[r] = ridge_count.get(r, 0) - 1
                         touched.add(r)
             for s in added:
                 if len(s) == n + 1:
-                    for r in _comb(s, n):
+                    for r in combinations(s, n):
                         ridge_count[r] = ridge_count.get(r, 0) + 1
                         touched.add(r)
             for r in touched:

@@ -4,11 +4,12 @@ end-to-end pipeline relating two geometric triangulations.
 ``alpha_to_beta`` walks the partial-subdivision ladder downwards: at level r
 it stars, for every r-simplex A of the parent, the join S(A) of the
 restricted subdivision over A with the link chains above A, replacing it by
-a cone from a fresh apex.  After all levels the working complex is
-isomorphic to the plain barycentric subdivision of the parent, and no
-parent vertex was ever removed.  Every starring is generated from a
-shelling certificate and validated move by move against the ambient
-complex.
+a cone from a fresh apex.  The apexes give the vertex correspondence for
+free: after level r the working complex, relabelled by the apex map, is
+equal to the partial subdivision at level r - 1, and at the end to the plain
+barycentric subdivision of the parent, whatever its size.  No parent vertex
+is ever removed.  Every starring is generated from a shelling certificate
+and validated move by move against the ambient complex.
 """
 from __future__ import annotations
 
@@ -17,7 +18,8 @@ from math import factorial
 from typing import Optional
 
 from .bounds import depth_m, depth_mprime, reduction_sum_bound, bridge_sum_bound, mu, total_bound
-from .complexes import Complex, Isomorphism, Simplex, WorkingComplex, find_isomorphism
+from .complexes import Complex, Isomorphism, Simplex, WorkingComplex
+from .complexes import find_isomorphism  # noqa: F401  unused; perfbench's tracer patches it here
 from .geometry import GeomComplex, Geometry, geometric_barycentric, kappa
 from .intersect import CommonSubdivision, barycentric_polytopal, torus_intersect
 from .pachner import MoveError, MoveSequence, PachnerMove, apply_move_inplace, replay_verified
@@ -53,7 +55,14 @@ class LevelRecord:
 
 @dataclass
 class ReductionTrace:
-    """Per-starring records plus the per-level and total bound checks."""
+    """Per-starring records plus the per-level and total bound checks.
+
+    ``level_checks[r]`` is ``"exact"``: the working complex, relabelled by the
+    apex map (``apex_of[a]`` to the reference's apex for ``a``, the identity
+    elsewhere), equals the partial subdivision at level r.
+    ``final_isomorphism`` is the level-0 map extended by the identity; it
+    sends ``result`` onto the barycentric subdivision of the parent.
+    """
 
     records: list[LevelRecord] = field(default_factory=list)
     per_level_moves: dict[int, int] = field(default_factory=dict)
@@ -96,18 +105,16 @@ def _join_sets(a_part: set[Simplex], l_part: set[Simplex]) -> set[Simplex]:
     return out
 
 
-ISO_CHECK_LIMIT = 2500  # simplex count above which level checks drop to f-vectors
+SHELLING_NODE_CAP = 2_000_000  # node budget of one star-neighbourhood shelling search
+BRIDGE_LAYERS = 2  # barycentric layers beta2_bridge puts on kprime
+MAX_ESCALATIONS = 2  # two-layer escalations relate tries after a shelling failure
 
 
 def alpha_to_beta(
-    k: Complex,
-    alpha: SubdividedComplex,
-    *,
-    level_check: str = "auto",
-    max_shelling_nodes: int = 2_000_000,
+    k: Complex, alpha: SubdividedComplex
 ) -> tuple[MoveSequence, ReductionTrace]:
-    """Moves taking the subdivision ``alpha`` of ``k`` to (a complex
-    isomorphic to) the barycentric subdivision of ``k``.
+    """Moves taking the subdivision ``alpha`` of ``k`` to the barycentric
+    subdivision of ``k``, up to the relabelling ``trace.final_isomorphism``.
 
     Raises ShellingFailure when some star neighbourhood S(A) admits no
     shelling; the caller escalates per the two-extra-layers strategy.
@@ -122,8 +129,10 @@ def alpha_to_beta(
     s_counts = skeleton_counts(alpha)
 
     work = WorkingComplex(alpha.complex, reserve_above=k.max_label())
-    kvertex_labels = {
-        s[0] for s in alpha.complex.simplexes if len(s) == 1 and len(alpha.carrier[s]) == 1
+    kvertex_of = {
+        s[0]: alpha.carrier[s][0]
+        for s in alpha.complex.simplexes
+        if len(s) == 1 and len(alpha.carrier[s]) == 1
     }
     trace = ReductionTrace()
     trace.reduction_bound = reduction_sum_bound(n, p, s_counts)
@@ -147,7 +156,7 @@ def alpha_to_beta(
             ball = Complex(ball_simplexes, _assume_closed=True)
             if ball.dimension != n:
                 raise ReductionError(f"S({a}) is not full-dimensional")
-            shelling = find_shelling(ball, max_nodes=max_shelling_nodes)
+            shelling = find_shelling(ball, max_nodes=SHELLING_NODE_CAP)
             if shelling is None:
                 raise ShellingFailure(a, "star neighbourhood is not shellable")
             apex = work.fresh_label()
@@ -171,7 +180,7 @@ def alpha_to_beta(
             raise ReductionError(
                 f"level {r} used {level_moves} moves, above its bound {bound_r}"
             )
-        _level_check(trace, work, k, alpha, r - 1, level_check)
+        relabel = _check_level(trace, work, k, alpha, r - 1, kvertex_of)
 
     trace.total_moves = len(moves)
     if trace.total_moves > trace.reduction_bound:
@@ -180,48 +189,48 @@ def alpha_to_beta(
     removed = set()
     for mv in moves:
         removed |= mv.removed_vertices
-    if removed & kvertex_labels:
+    if removed & kvertex_of.keys():
         raise ReductionError(
-            f"moves removed parent vertices {sorted(removed & kvertex_labels)}"
+            f"moves removed parent vertices {sorted(removed & kvertex_of.keys())}"
         )
 
     result = work.snapshot()
     trace.result = result
-    reference = barycentric(k).complex
-    iso = find_isomorphism(result, reference)
-    if iso is None:
-        raise ReductionError("reduction endpoint is not isomorphic to the barycentric subdivision")
-    trace.final_isomorphism = iso
+    trace.final_isomorphism = Isomorphism({v: relabel.get(v, v) for v in result.vertices()})
     seq = MoveSequence(tuple(moves), alpha.complex.digest(), result.digest())
     return seq, trace
 
 
-def _level_check(
+def _check_level(
     trace: ReductionTrace,
     work: WorkingComplex,
     k: Complex,
     alpha: SubdividedComplex,
     r: int,
-    mode: str,
-) -> None:
-    """Compare the working complex against the independently constructed
-    partial subdivision at level r (by isomorphism when small)."""
-    if mode == "off":
-        trace.level_checks[r] = "skipped"
-        return
-    reference = partial_relative(k, alpha, r).complex if r >= 1 else barycentric(k).complex
-    snapshot = work.snapshot()
-    if snapshot.f_vector() != reference.f_vector():
-        raise ReductionError(
-            f"after level {r + 1}: f-vector {snapshot.f_vector()} differs "
-            f"from the reference {reference.f_vector()}"
+    kvertex_of: dict[int, int],
+) -> dict[int, int]:
+    """Require the working complex, relabelled by the apex map, to equal the
+    partial subdivision at level r (the barycentric subdivision at r = 0,
+    where vertices carried by parent vertices also map to those vertices).
+    Returns the relabelling."""
+    reference = partial_relative(k, alpha, r) if r >= 1 else barycentric(k)
+    relabel = {apex: reference.apex_of[a] for a, apex in trace.apex_of.items()}
+    if r == 0:
+        relabel.update(kvertex_of)
+    got = {tuple(sorted(relabel.get(v, v) for v in s)) for s in work.simplexes}
+    want = reference.complex.simplexes
+    if got != want:
+        wrong = min(got ^ want, key=lambda s: (len(s), s))
+        where = (
+            f"{wrong} of the level-{r} reference is missing from the relabelled complex"
+            if wrong in want
+            else f"relabelled simplex {wrong} is not in the level-{r} reference"
         )
-    if mode == "iso" or (mode == "auto" and len(reference) <= ISO_CHECK_LIMIT):
-        if find_isomorphism(snapshot, reference) is None:
-            raise ReductionError(f"after level {r + 1}: not isomorphic to the reference")
-        trace.level_checks[r] = "iso"
-    else:
-        trace.level_checks[r] = "fvector"
+        raise ReductionError(f"after level {r + 1}: {where}")
+    if len(got) != len(work):
+        raise ReductionError(f"after level {r + 1}: the apex map is not injective")
+    trace.level_checks[r] = "exact"
+    return relabel
 
 
 def _layered(base: SubdividedComplex, layers: int) -> SubdividedComplex:
@@ -232,27 +241,21 @@ def _layered(base: SubdividedComplex, layers: int) -> SubdividedComplex:
 
 
 def beta2_bridge(
-    k: Complex,
-    kprime: SubdividedComplex,
-    *,
-    layers: int = 2,
-    level_check: str = "auto",
+    k: Complex, kprime: SubdividedComplex
 ) -> tuple[MoveSequence, ReductionTrace]:
     """Relate the twice-subdivided ``kprime`` to the barycentric subdivision
     of ``k``, with the move count checked against the double-factorial sum
     over the skeleton counts of ``kprime`` (p_0 = 2 convention)."""
-    alpha = _layered(kprime, layers)
-    seq, trace = alpha_to_beta(k, alpha, level_check=level_check)
-    if layers == 2:
-        bound = bridge_sum_bound(k.dimension, k.f_vector(), skeleton_counts(kprime))
-        trace.notes.append(
-            f"two-layer bound {bound} (ridge links contribute the fixed "
-            "two-vertex count in place of the vertex total)"
+    seq, trace = alpha_to_beta(k, _layered(kprime, BRIDGE_LAYERS))
+    bound = bridge_sum_bound(k.dimension, k.f_vector(), skeleton_counts(kprime))
+    trace.notes.append(
+        f"two-layer bound {bound} (ridge links contribute the fixed "
+        "two-vertex count in place of the vertex total)"
+    )
+    if len(seq) > bound:
+        raise ReductionError(
+            f"bridge used {len(seq)} moves, above the two-layer bound {bound}"
         )
-        if len(seq) > bound:
-            raise ReductionError(
-                f"bridge used {len(seq)} moves, above the two-layer bound {bound}"
-            )
     return seq, trace
 
 
@@ -292,14 +295,7 @@ def _min_convexity_depth(gk: GeomComplex) -> int:
     return m
 
 
-def relate(
-    k1: GeomComplex,
-    k2: GeomComplex,
-    *,
-    level_check: str = "auto",
-    verify: bool = True,
-    max_escalations: int = 2,
-) -> RelateResult:
+def relate(k1: GeomComplex, k2: GeomComplex, *, verify: bool = True) -> RelateResult:
     """Verified move sequence from β(pre-subdivided k1) to β(pre-subdivided
     k2) through their common geometric subdivision.
 
@@ -337,13 +333,13 @@ def relate(
         if alpha1.complex.digest() != alpha2.complex.digest():
             raise ReductionError("the two carrier views diverged on the same complex")
         try:
-            seq1, trace1 = alpha_to_beta(b1.complex, alpha1, level_check=level_check)
-            seq2, trace2 = alpha_to_beta(b2.complex, alpha2, level_check=level_check)
+            seq1, trace1 = alpha_to_beta(b1.complex, alpha1)
+            seq2, trace2 = alpha_to_beta(b2.complex, alpha2)
             break
         except ShellingFailure as e:
             layers += 2
             notes.append(f"escalated to {layers} extra layers after {e}")
-            if layers > 2 * max_escalations:
+            if layers > 2 * MAX_ESCALATIONS:
                 raise
     if layers == 0:
         notes.append("direct reduction through the common subdivision succeeded")

@@ -11,7 +11,6 @@ from trimoves.pachner import (
     apply_sequence,
     bfs_equivalence,
     enumerate_moves,
-    invert,
     sequence_from_moves,
 )
 from .test_complexes import boundary_delta3
@@ -72,14 +71,14 @@ class TestApply:
 class TestInvert:
     def test_swap(self):
         m = PachnerMove((1, 2), (3, 4))
-        assert invert(m) == PachnerMove((3, 4), (1, 2))
-        assert invert(invert(m)) == m
+        assert m.inverted() == PachnerMove((3, 4), (1, 2))
+        assert m.inverted().inverted() == m
 
     def test_round_trip(self):
         k = boundary_delta3()
         for m in enumerate_moves(k):
             k2 = apply(k, m)
-            assert apply(k2, invert(m)) == k
+            assert apply(k2, m.inverted()) == k
 
 
 class TestEnumerate:
@@ -222,4 +221,4 @@ def test_fuzzed_moves_preserve_invariants():
             out = apply(k, m)
             assert out.euler_characteristic() == chi
             assert out.is_closed_pseudomanifold()
-            assert apply(out, invert(m)) == k
+            assert apply(out, m.inverted()) == k

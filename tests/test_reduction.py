@@ -4,6 +4,7 @@ import pytest
 from trimoves.bounds import barymoves_bound, reduction_sum_bound, bridge_sum_bound
 from trimoves.complexes import close_under_faces, find_isomorphism
 from trimoves.fixtures import circle_complex, grid_torus_complex
+from trimoves import reduction
 from trimoves.pachner import apply_sequence, replay_verified
 from trimoves.reduction import (
     ReductionError,
@@ -12,6 +13,7 @@ from trimoves.reduction import (
     relate,
 )
 from trimoves.subdivision import (
+    SubdividedComplex,
     barycentric,
     identity_subdivision,
     skeleton_counts,
@@ -86,7 +88,7 @@ class TestAlphaToBeta:
 
     def test_three_sphere_identity(self):
         # n = 3: stars five tetrahedra, twenty triangle neighbourhoods and
-        # sixty edge neighbourhoods, with every level verified by isomorphism
+        # sixty edge neighbourhoods, with every level checked exactly
         import itertools
 
         k = close_under_faces(itertools.combinations(range(5), 4))
@@ -95,7 +97,7 @@ class TestAlphaToBeta:
         assert all(
             trace.per_level_moves[r] <= trace.per_level_bounds[r] for r in (1, 2, 3)
         )
-        assert trace.level_checks == {2: "iso", 1: "iso", 0: "iso"}
+        assert trace.level_checks == {2: "exact", 1: "exact", 0: "exact"}
         replay_verified(k, seq, expect=trace.result)
 
     def test_three_sphere_barycentric_alpha(self):
@@ -117,8 +119,34 @@ class TestAlphaToBeta:
 
     def test_intermediate_levels_verified(self):
         k = boundary_delta3()
-        _, trace = alpha_to_beta(k, identity_subdivision(k), level_check="iso")
-        assert trace.level_checks == {1: "iso", 0: "iso"}
+        _, trace = alpha_to_beta(k, identity_subdivision(k))
+        assert trace.level_checks == {1: "exact", 0: "exact"}
+
+    def test_final_isomorphism_maps_result_onto_barycentric(self):
+        k = grid_torus_complex(3).complex
+        alpha = barycentric(k)
+        _, trace = alpha_to_beta(k, alpha)
+        iso = trace.final_isomorphism
+        assert set(iso.vertex_map) == set(trace.result.vertices())
+        assert iso.apply(trace.result) == barycentric(k).complex
+
+    def test_swapped_reference_apexes_rejected(self, monkeypatch):
+        # the reference complex is unchanged, so an isomorphism check would
+        # still accept it; with two triangles' apexes exchanged the apex map
+        # sends each apex to the wrong cone, and the level-1 check must fail
+        real = reduction.partial_relative
+
+        def swapped(k, alpha, r):
+            ref = real(k, alpha, r)
+            a, b = [s for s in ref.apex_of if len(s) == 3][:2]
+            apex_of = dict(ref.apex_of)
+            apex_of[a], apex_of[b] = apex_of[b], apex_of[a]
+            return SubdividedComplex(ref.complex, ref.parent, ref.carrier, apex_of)
+
+        monkeypatch.setattr(reduction, "partial_relative", swapped)
+        k = boundary_delta3()
+        with pytest.raises(ReductionError, match="after level 2"):
+            alpha_to_beta(k, identity_subdivision(k))
 
 
 class TestBetaSquaredBridge:
@@ -162,7 +190,7 @@ class TestBetaSquaredBridge:
         kprime = self.split_edge_subdivision(k, (0, 1))
         kprime.validate()
         seq, trace = beta2_bridge(k, kprime)
-        out = apply_sequence(kprime.complex and trace.result, seq.reversed())
+        out = apply_sequence(trace.result, seq.reversed())
         # replay back from the endpoint reproduces the bridged start
         assert out.digest() == seq.start_digest
         assert find_isomorphism(trace.result, barycentric(k).complex) is not None
@@ -173,8 +201,8 @@ class TestBetaSquaredBridge:
         edge = k.simplexes_of_dim(1)[0]
         kprime = self.split_edge_subdivision(k, edge)
         kprime.validate()
-        seq, trace = beta2_bridge(k, kprime, level_check="auto")
-        assert trace.level_checks == {1: "iso", 0: "iso"}
+        seq, trace = beta2_bridge(k, kprime)
+        assert trace.level_checks == {1: "exact", 0: "exact"}
         assert len(seq) <= bridge_sum_bound(2, k.f_vector(), skeleton_counts(kprime))
         assert find_isomorphism(trace.result, barycentric(k).complex) is not None
         assert seq.removed_vertices() & set(k.vertices()) == set()
@@ -199,7 +227,7 @@ class TestRelate:
     def test_small_shifted_tori(self):
         k1 = grid_torus_complex(3)
         k2 = grid_torus_complex(3, shift=(1 / 6, 1 / 6))
-        res = relate(k1, k2, level_check="off", verify=False)
+        res = relate(k1, k2, verify=False)
         assert len(res.sequence) < res.bound_value
         # both endpoints are barycentric subdivisions of 18-triangle tori
         assert res.start.f_vector()[2] == 108
@@ -212,12 +240,11 @@ class TestRelate:
     def test_pipeline_deterministic(self):
         k1 = grid_torus_complex(3)
         k2 = grid_torus_complex(3, shift=(1 / 6, 1 / 6))
-        a = relate(k1, k2, verify=False, level_check="off")
+        a = relate(k1, k2, verify=False)
         b = relate(
             grid_torus_complex(3),
             grid_torus_complex(3, shift=(1 / 6, 1 / 6)),
             verify=False,
-            level_check="off",
         )
         assert a.sequence == b.sequence
         assert a.start.canonical_json() == b.start.canonical_json()
@@ -230,8 +257,12 @@ class TestRelate:
         k2 = grid_torus_complex(3)
         k2.coords[4] = (k2.coords[4] + np.array([0.05, 0.045])) % 1.0
         assert k2.max_edge() >= 0.5
-        res = relate(k1, k2, level_check="off", verify=False)
+        res = relate(k1, k2, verify=False)
         assert res.pre_subdivision_depth == 1
+        # every level of both reductions is checked exactly, including the
+        # ones of 2,880 simplexes
+        for trace in (res.trace1, res.trace2):
+            assert trace.level_checks == {1: "exact", 0: "exact"}
         # shared barycenters of the untouched region survive as common
         # vertices and are preserved by the whole sequence
         assert len(res.common_vertices) > 8

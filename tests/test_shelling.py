@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from trimoves.complexes import Complex, close_under_faces, cone, find_isomorphism
+from trimoves.complexes import Complex, close_under_faces, cone
 from trimoves.pachner import SearchCapExceeded, apply_sequence
 from trimoves.shelling import (
     ShellingError,
@@ -195,7 +195,6 @@ class TestStarring:
         got = result.link((apex,))
         want = boundary_complex(ball)
         assert got.simplexes == want.simplexes
-        assert find_isomorphism(got, cone(99, Complex.empty()).link((99,))) or True
         assert result.is_closed_pseudomanifold()
 
     def test_replay_matches(self):
