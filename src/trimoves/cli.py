@@ -10,7 +10,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -69,26 +69,6 @@ EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 
 
-@dataclass
-class RunManifest:
-    command: str
-    inputs: dict
-    parameters: dict
-    seed: int
-    outputs: list
-    tool_version: str = __version__
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "outputs": self.outputs,
-            "tool_version": self.tool_version,
-        }
-
-
 class CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
@@ -120,11 +100,20 @@ def _load_geom(path: str):
         raise CliError(EXIT_INPUT, f"{path}: {e}") from e
 
 
-def _write_output(path: str | None, payload: dict, manifest: RunManifest) -> None:
-    payload = {"manifest": manifest.to_dict(), **payload}
-    text = dumps(payload)
-    if path:
-        Path(path).write_text(text + "\n")
+def _write_output(args, command: str, inputs: dict, parameters: dict, payload: dict) -> None:
+    """Write ``payload`` with its run manifest to ``args.output``, or print
+    it when no output file is given."""
+    manifest = {
+        "command": command,
+        "inputs": inputs,
+        "parameters": parameters,
+        "seed": args.seed,
+        "outputs": [args.output] if args.output else [],
+        "tool_version": __version__,
+    }
+    text = dumps({"manifest": manifest, **payload})
+    if args.output:
+        Path(args.output).write_text(text + "\n")
     else:
         print(text)
 
@@ -146,18 +135,12 @@ def _write_csv(path: str | None, header: list[str], rows: list[list]) -> None:
 
 def cmd_subdivide(args) -> int:
     mode = args.mode
-    manifest = RunManifest(
-        "subdivide",
-        {"input": args.input},
-        {"mode": mode},
-        args.seed,
-        [args.output] if args.output else [],
-    )
+    write = partial(_write_output, args, "subdivide", {"input": args.input}, {"mode": mode})
     if mode.startswith("geometric:"):
         m = int(mode.split(":", 1)[1])
         gk = _load_geom(args.input)
         out = geometric_barycentric(gk, m, max_simplexes=args.max_simplexes)
-        _write_output(args.output, {"geometric_complex": geom_complex_to_dict(out)}, manifest)
+        write({"geometric_complex": geom_complex_to_dict(out)})
         return EXIT_OK
     k = _load_complex(args.input)
     if mode == "bary":
@@ -170,32 +153,28 @@ def cmd_subdivide(args) -> int:
         sub = iterated_barycentric(k, m, max_simplexes=args.max_simplexes)
     else:
         raise CliError(EXIT_INPUT, f"unknown mode {mode!r}")
-    _write_output(args.output, {"subdivision": subdivided_to_dict(sub)}, manifest)
+    write({"subdivision": subdivided_to_dict(sub)})
     return EXIT_OK
 
 
 def cmd_pachner(args) -> int:
-    manifest = RunManifest(
+    write = partial(
+        _write_output,
+        args,
         f"pachner {args.action}",
         {k: v for k, v in vars(args).items() if k in ("input", "start", "goal", "move") and v},
         {"max_depth": getattr(args, "max_depth", None)},
-        args.seed,
-        [args.output] if args.output else [],
     )
     if args.action == "enumerate":
         k = _load_complex(args.input)
         moves = enumerate_moves(k)
-        _write_output(
-            args.output,
-            {"moves": [{"A": list(m.a), "B": list(m.b)} for m in moves]},
-            manifest,
-        )
+        write({"moves": [{"A": list(m.a), "B": list(m.b)} for m in moves]})
         return EXIT_OK
     if args.action == "apply":
         k = _load_complex(args.input)
         move = move_from_dict(_read_json(args.move))
         out = apply(k, move)
-        _write_output(args.output, {"complex": complex_to_dict(out)}, manifest)
+        write({"complex": complex_to_dict(out)})
         return EXIT_OK
     # bfs
     k = _load_complex(args.start)
@@ -203,17 +182,17 @@ def cmd_pachner(args) -> int:
     seq = bfs_equivalence(k, l, args.max_depth)
     if seq is None:
         raise CliError(EXIT_INVARIANT, "no sequence found within the depth bound")
-    _write_output(args.output, {"sequence": sequence_to_dict(seq)}, manifest)
+    write({"sequence": sequence_to_dict(seq)})
     return EXIT_OK
 
 
 def cmd_shell(args) -> int:
-    manifest = RunManifest(
+    write = partial(
+        _write_output,
+        args,
         f"shell {args.action}",
         {k: v for k, v in vars(args).items() if k in ("input", "ambient", "ball") and v},
         {"apex": getattr(args, "apex", None)},
-        args.seed,
-        [args.output] if args.output else [],
     )
     if args.action == "find":
         ball = _load_complex(args.input)
@@ -222,25 +201,19 @@ def cmd_shell(args) -> int:
             raise CliError(EXIT_INVARIANT, "no shelling exists")
         if not verify_shelling(ball, shelling):
             raise CliError(EXIT_INVARIANT, "independent replay rejected the certificate")
-        _write_output(
-            args.output,
+        write(
             {
                 "shelling": {
                     "steps": [[list(s.a), list(s.b)] for s in shelling.steps],
                     "final": list(shelling.final),
                 }
-            },
-            manifest,
+            }
         )
         return EXIT_OK
     ambient = _load_complex(args.ambient)
     ball = _load_complex(args.ball)
     seq, result = star_via_shelling(ambient, ball, args.apex)
-    _write_output(
-        args.output,
-        {"sequence": sequence_to_dict(seq), "result": complex_to_dict(result)},
-        manifest,
-    )
+    write({"sequence": sequence_to_dict(seq), "result": complex_to_dict(result)})
     return EXIT_OK
 
 
@@ -256,38 +229,29 @@ def _trace_dict(trace) -> dict:
 
 
 def cmd_reduce(args) -> int:
-    manifest = RunManifest(
+    write = partial(
+        _write_output,
+        args,
         f"reduce {args.action}",
         {k: v for k, v in vars(args).items() if k in ("complex", "alpha", "kprime", "k1", "k2") and v},
         {},
-        args.seed,
-        [args.output] if args.output else [],
     )
     if args.action == "alpha2beta":
         k = _load_complex(args.complex)
         alpha = subdivided_from_dict(_read_json(args.alpha))
         seq, trace = alpha_to_beta(k, alpha)
-        _write_output(
-            args.output,
-            {"sequence": sequence_to_dict(seq), "trace": _trace_dict(trace)},
-            manifest,
-        )
+        write({"sequence": sequence_to_dict(seq), "trace": _trace_dict(trace)})
         return EXIT_OK
     if args.action == "bridge":
         k = _load_complex(args.complex)
         kprime = subdivided_from_dict(_read_json(args.kprime))
         seq, trace = beta2_bridge(k, kprime)
-        _write_output(
-            args.output,
-            {"sequence": sequence_to_dict(seq), "trace": _trace_dict(trace)},
-            manifest,
-        )
+        write({"sequence": sequence_to_dict(seq), "trace": _trace_dict(trace)})
         return EXIT_OK
     k1 = _load_geom(args.k1)
     k2 = _load_geom(args.k2)
     res = relate(k1, k2)
-    _write_output(
-        args.output,
+    write(
         {
             "sequence": sequence_to_dict(res.sequence),
             "start": complex_to_dict(res.start),
@@ -300,20 +264,12 @@ def cmd_reduce(args) -> int:
             "bound_m": res.bound_m,
             "bound_value": str(res.bound_value),
             "notes": res.notes,
-        },
-        manifest,
+        }
     )
     return EXIT_OK
 
 
 def cmd_intersect(args) -> int:
-    manifest = RunManifest(
-        f"intersect {args.action}",
-        {"k1": args.k1, "k2": args.k2},
-        {},
-        args.seed,
-        [args.output] if args.output else [],
-    )
     k1 = _load_geom(args.k1)
     k2 = _load_geom(args.k2)
     poly = torus_intersect(k1, k2) if args.action == "torus" else intersect_linear(k1, k2)
@@ -331,14 +287,11 @@ def cmd_intersect(args) -> int:
         payload["note"] = (
             "torus cells computed by fundamental-domain translate enumeration"
         )
-    _write_output(args.output, payload, manifest)
+    _write_output(args, f"intersect {args.action}", {"k1": args.k1, "k2": args.k2}, {}, payload)
     return EXIT_OK
 
 
 def cmd_bound(args) -> int:
-    manifest = RunManifest(
-        "bound compute", {"input": args.input}, {}, args.seed, [args.output] if args.output else []
-    )
     data = _read_json(args.input)
     try:
         md = ManifoldData(
@@ -356,7 +309,9 @@ def cmd_bound(args) -> int:
     except (KeyError, ValueError, TypeError) as e:
         raise CliError(EXIT_INPUT, f"bad manifold data: {e}") from e
     report = compute_report(md)
-    _write_output(args.output, {"report": json.loads(report.to_json())}, manifest)
+    _write_output(
+        args, "bound compute", {"input": args.input}, {}, {"report": json.loads(report.to_json())}
+    )
     if args.table:
         lines = [
             f"{'quantity':24} value",
@@ -376,10 +331,8 @@ def cmd_geom(args) -> int:
     tag = Geometry(args.geometry)
     if args.action == "kappa":
         value = kappa(tag, args.n, args.lam)
-        manifest = RunManifest(
-            "geom kappa", {}, {"geometry": tag.value, "n": args.n, "lam": args.lam}, args.seed, []
-        )
-        _write_output(args.output, {"kappa": value}, manifest)
+        parameters = {"geometry": tag.value, "n": args.n, "lam": args.lam}
+        _write_output(args, "geom kappa", {}, parameters, {"kappa": value})
         return EXIT_OK
     if args.action == "scaling-table":
         rows = []
@@ -411,14 +364,13 @@ def cmd_verify(args) -> int:
     out = replay_verified(start, seq, expect=None, check_pseudomanifold=args.pseudomanifold)
     if expect is not None and find_isomorphism(out, expect) is None:
         raise CliError(EXIT_INVARIANT, "replayed endpoint is not isomorphic to the expected complex")
-    manifest = RunManifest(
+    _write_output(
+        args,
         "verify replay",
         {"sequence": args.sequence, "start": args.start, "expect": args.expect},
         {"pseudomanifold": args.pseudomanifold},
-        args.seed,
-        [args.output] if args.output else [],
+        {"end_digest": out.digest(), "verified": True},
     )
-    _write_output(args.output, {"end_digest": out.digest(), "verified": True}, manifest)
     return EXIT_OK
 
 

@@ -135,11 +135,11 @@ def check_applicable(work: WorkingComplex, move: PachnerMove, n: int) -> None:
 
 
 def apply_move_inplace(
-    work: WorkingComplex, move: PachnerMove, n: int, *, validate: bool = True
+    work: WorkingComplex, move: PachnerMove, n: int
 ) -> tuple[set[Simplex], set[Simplex]]:
-    """Apply κ(a, b) to a working complex, returning (removed, added)."""
-    if validate:
-        check_applicable(work, move, n)
+    """Check that κ(a, b) applies to a working complex, apply it and return
+    (removed, added)."""
+    check_applicable(work, move, n)
     removed, added = move_delta(move)
     for s in removed:
         work.discard(s)
@@ -157,26 +157,65 @@ def apply(k: Complex, move: PachnerMove) -> Complex:
     return work.snapshot()
 
 
-def apply_sequence(k: Complex, seq: MoveSequence, *, verify_digests: bool = True) -> Complex:
-    if verify_digests and k.digest() != seq.start_digest:
-        raise MoveError("start complex does not match sequence start digest")
-    work = WorkingComplex(k)
-    n = k.dimension
-    for m in seq.moves:
-        apply_move_inplace(work, m, n)
-    out = work.snapshot()
-    if verify_digests and out.digest() != seq.end_digest:
-        raise MoveError("replay did not reproduce the end digest")
-    return out
+def _tally_ridges(
+    ridges: dict[Simplex, int], simplexes: Iterable[Simplex], n: int, step: int
+) -> set[Simplex]:
+    """Add ``step`` to the count of each ridge of the n-simplexes among
+    ``simplexes``; return those ridges."""
+    touched: set[Simplex] = set()
+    for s in simplexes:
+        if len(s) == n + 1:
+            for r in combinations(s, n):
+                ridges[r] = ridges.get(r, 0) + step
+                touched.add(r)
+    return touched
+
+
+def ridge_counts(k: Complex) -> dict[Simplex, int]:
+    """Number of top simplexes containing each ridge of ``k``."""
+    counts: dict[Simplex, int] = {}
+    _tally_ridges(counts, k.simplexes, k.dimension, 1)
+    return counts
+
+
+def apply_moves(
+    work: WorkingComplex,
+    moves: Iterable[PachnerMove],
+    n: int,
+    ridges: Optional[dict[Simplex, int]] = None,
+) -> None:
+    """Apply moves in order, each checked by ``apply_move_inplace``.
+
+    ``ridges``, the ``ridge_counts`` of a closed pseudomanifold, is kept
+    current, and every ridge a move touches must come out with exactly two
+    cofacets (or none, once the ridge has left the complex), so a purity or
+    degree defect is caught at the move that creates it.
+    """
+    for m in moves:
+        removed, added = apply_move_inplace(work, m, n)
+        if ridges is None:
+            continue
+        touched = _tally_ridges(ridges, removed, n, -1) | _tally_ridges(ridges, added, n, 1)
+        for r in touched:
+            c = ridges[r]
+            if c == 0:
+                del ridges[r]
+                if r in work:
+                    raise MoveError(
+                        f"move κ({m.a}, {m.b}): ridge {r} left behind without cofacets"
+                    )
+            elif c != 2:
+                raise MoveError(
+                    f"move κ({m.a}, {m.b}): ridge {r} has {c} cofacets; "
+                    "intermediate complex is not a closed pseudomanifold"
+                )
 
 
 def sequence_from_moves(start: Complex, moves: Iterable[PachnerMove]) -> MoveSequence:
     """Apply and log moves, producing a digest-stamped sequence."""
-    work = WorkingComplex(start)
-    n = start.dimension
     ms = tuple(moves)
-    for m in ms:
-        apply_move_inplace(work, m, n)
+    work = WorkingComplex(start)
+    apply_moves(work, ms, start.dimension)
     return MoveSequence(ms, start.digest(), work.snapshot().digest())
 
 
@@ -190,20 +229,22 @@ def enumerate_moves(k: Complex) -> list[PachnerMove]:
     return out
 
 
+FULL_CHECKS = 10  # whole-complex checks in a verified replay, one per len // FULL_CHECKS moves
+
+
 def replay_verified(
     start: Complex,
     seq: MoveSequence,
     *,
     expect: Optional[Complex] = None,
     check_pseudomanifold: bool = True,
-    full_check_every: Optional[int] = None,
 ) -> Complex:
-    """Replay a sequence with closed-pseudomanifold tracking.
+    """Replay a sequence between its digest-checked endpoints.
 
-    Ridge degrees are maintained incrementally and every ridge touched by a
-    move must come out with exactly two cofacets, so a purity/degree defect
-    in any intermediate complex is caught at the move that creates it;
-    full global checks run periodically and at both endpoints.
+    With ``check_pseudomanifold`` both endpoints must be closed
+    pseudomanifolds, ridge degrees are checked at every move (see
+    ``apply_moves``) and the whole complex after every tenth of the
+    sequence.
     """
     if start.digest() != seq.start_digest:
         raise MoveError("start complex does not match sequence start digest")
@@ -211,43 +252,14 @@ def replay_verified(
     if check_pseudomanifold and not start.is_closed_pseudomanifold():
         raise MoveError("start complex is not a closed pseudomanifold")
     work = WorkingComplex(start)
-    ridge_count: dict[Simplex, int] = {}
-    for t in start.simplexes:
-        if len(t) == n + 1:
-            for r in combinations(t, n):
-                ridge_count[r] = ridge_count.get(r, 0) + 1
-    if full_check_every is None:
-        full_check_every = max(1, len(seq.moves) // 10)
-    for idx, m in enumerate(seq.moves):
-        removed, added = apply_move_inplace(work, m, n)
-        if check_pseudomanifold:
-            touched: set[Simplex] = set()
-            for s in removed:
-                if len(s) == n + 1:
-                    for r in combinations(s, n):
-                        ridge_count[r] = ridge_count.get(r, 0) - 1
-                        touched.add(r)
-            for s in added:
-                if len(s) == n + 1:
-                    for r in combinations(s, n):
-                        ridge_count[r] = ridge_count.get(r, 0) + 1
-                        touched.add(r)
-            for r in touched:
-                c = ridge_count.get(r, 0)
-                if c == 0:
-                    ridge_count.pop(r, None)
-                    if r in work:
-                        raise MoveError(
-                            f"move {idx}: ridge {r} left behind without cofacets"
-                        )
-                elif c != 2:
-                    raise MoveError(
-                        f"move {idx}: ridge {r} has {c} cofacets; "
-                        "intermediate complex is not a closed pseudomanifold"
-                    )
-            if (idx + 1) % full_check_every == 0:
-                if not work.snapshot().is_closed_pseudomanifold():
-                    raise MoveError(f"full check failed after move {idx}")
+    ridges = ridge_counts(start) if check_pseudomanifold else None
+    every = max(1, len(seq.moves) // FULL_CHECKS)
+    for i in range(0, len(seq.moves), every):
+        part = seq.moves[i : i + every]
+        apply_moves(work, part, n, ridges)
+        if check_pseudomanifold and len(part) == every:
+            if not work.snapshot().is_closed_pseudomanifold():
+                raise MoveError(f"full check failed after move {i + every - 1}")
     out = work.snapshot()
     if check_pseudomanifold and not out.is_closed_pseudomanifold():
         raise MoveError("end complex is not a closed pseudomanifold")
@@ -256,6 +268,11 @@ def replay_verified(
     if expect is not None and out != expect:
         raise MoveError("replayed complex differs from the expected complex")
     return out
+
+
+def apply_sequence(k: Complex, seq: MoveSequence) -> Complex:
+    """Replay a sequence with its digest and per-move checks only."""
+    return replay_verified(k, seq, check_pseudomanifold=False)
 
 
 def _iso_signature(k: Complex) -> tuple:

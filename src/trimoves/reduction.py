@@ -22,8 +22,9 @@ from .complexes import Complex, Isomorphism, Simplex, WorkingComplex
 from .complexes import find_isomorphism  # noqa: F401  unused; perfbench's tracer patches it here
 from .geometry import GeomComplex, Geometry, geometric_barycentric, kappa
 from .intersect import CommonSubdivision, barycentric_polytopal, torus_intersect
-from .pachner import MoveError, MoveSequence, PachnerMove, apply_move_inplace, replay_verified
-from .shelling import ShellingError, find_shelling, starring_moves
+from .pachner import MoveSequence, PachnerMove, replay_verified
+from .pachner import apply_move_inplace  # noqa: F401  unused; perfbench's tracer patches it here
+from .shelling import ShellingError, find_shelling, star_ball_inplace
 from .subdivision import (
     SubdividedComplex,
     barycentric,
@@ -160,14 +161,10 @@ def alpha_to_beta(
             if shelling is None:
                 raise ShellingFailure(a, "star neighbourhood is not shellable")
             apex = work.fresh_label()
-            mvs = starring_moves(shelling, apex)
-            for mv in mvs:
-                try:
-                    apply_move_inplace(work, mv, n)
-                except MoveError as e:
-                    raise ShellingError(
-                        f"ambient link condition violated starring S({a}) at {mv}: {e}"
-                    ) from e
+            try:
+                mvs = star_ball_inplace(work, ball, shelling, apex, n)
+            except ShellingError as e:
+                raise ShellingError(f"starring S({a}): {e}") from e
             trace.apex_of[a] = apex
             trace.records.append(LevelRecord(r, a, len(mvs)))
             level_moves += len(mvs)
@@ -186,18 +183,14 @@ def alpha_to_beta(
     if trace.total_moves > trace.reduction_bound:
         raise ReductionError("total move count exceeds the reduction bound")
 
-    removed = set()
-    for mv in moves:
-        removed |= mv.removed_vertices
-    if removed & kvertex_of.keys():
-        raise ReductionError(
-            f"moves removed parent vertices {sorted(removed & kvertex_of.keys())}"
-        )
-
     result = work.snapshot()
+    seq = MoveSequence(tuple(moves), alpha.complex.digest(), result.digest())
+    removed = seq.removed_vertices() & kvertex_of.keys()
+    if removed:
+        raise ReductionError(f"moves removed parent vertices {sorted(removed)}")
+
     trace.result = result
     trace.final_isomorphism = Isomorphism({v: relabel.get(v, v) for v in result.vertices()})
-    seq = MoveSequence(tuple(moves), alpha.complex.digest(), result.digest())
     return seq, trace
 
 
@@ -355,13 +348,9 @@ def relate(k1: GeomComplex, k2: GeomComplex, *, verify: bool = True) -> RelateRe
         for v in common.complex.vertices()
         if len(common.carrier1[(v,)]) == 1 and len(common.carrier2[(v,)]) == 1
     )
-    removed = set()
-    for mv in full.moves:
-        removed |= mv.removed_vertices
-    if removed & common_vertices:
-        raise ReductionError(
-            f"sequence removed common vertices {sorted(removed & common_vertices)}"
-        )
+    removed = full.removed_vertices() & common_vertices
+    if removed:
+        raise ReductionError(f"sequence removed common vertices {sorted(removed)}")
 
     m_bound = depth_m(mu(Geometry.EUCLIDEAN, n), lam, inj)
     bound = total_bound(n, p, q, m_bound if n <= 4 else depth_mprime(m_bound, n))

@@ -20,8 +20,10 @@ from .pachner import (
     MoveSequence,
     PachnerMove,
     SearchCapExceeded,
-    apply_move_inplace,
+    apply_moves,
+    ridge_counts,
 )
+from .pachner import apply_move_inplace  # noqa: F401  unused; perfbench's tracer patches it here
 
 
 class ShellingError(Exception):
@@ -55,12 +57,8 @@ def boundary_complex(ball: Complex) -> Complex:
     """Closure of the ridges lying in exactly one top simplex."""
     if not ball.is_pure():
         raise ValueError("boundary of a non-pure complex is not defined here")
-    counts: dict[Simplex, int] = {}
-    for t in ball.top_simplexes():
-        for r in facets(t):
-            counts[r] = counts.get(r, 0) + 1
     out: set[Simplex] = set()
-    for r, c in counts.items():
+    for r, c in ridge_counts(ball).items():
         if c == 1:
             out.update(faces(r))
     return Complex(out, _assume_closed=True)
@@ -353,51 +351,33 @@ def starring_moves(shelling: Shelling, apex: int) -> list[PachnerMove]:
 
 
 def star_ball_inplace(
-    work: WorkingComplex,
-    ball: Complex,
-    apex: Optional[int] = None,
-    *,
-    n: Optional[int] = None,
-    max_nodes: int = 500_000,
-    shelling: Optional[Shelling] = None,
-) -> tuple[list[PachnerMove], int]:
-    """Star a shellable full-dimensional ball inside a working complex.
+    work: WorkingComplex, ball: Complex, shelling: Shelling, apex: int, n: int
+) -> list[PachnerMove]:
+    """Star a full-dimensional ball, shelled by ``shelling``, inside an
+    n-dimensional working complex from the fresh vertex ``apex``.
 
-    Every move is validated against the ambient complex before it is
-    applied (the link of A must be exactly ∂(apex ⋆ B)), which turns the
+    Every move is checked against the ambient complex before it is applied
+    (the link of A must be exactly ∂(apex ⋆ B)), which turns the
     containment argument for stars of interior faces into a runtime check.
-    Returns the applied moves and the apex used.
+    Returns the applied moves.
     """
-    if n is None:
-        n = ball.dimension
     if ball.dimension != n:
         raise ShellingError("ball is not full-dimensional in the ambient complex")
     for s in ball.top_simplexes():
         if s not in work:
             raise ShellingError(f"ball top simplex {s} missing from ambient complex")
-    if shelling is None:
-        shelling = find_shelling(ball, max_nodes=max_nodes)
-        if shelling is None:
-            raise ShellingError("ball is not shellable")
-    if apex is None:
-        apex = work.fresh_label()
     if (apex,) in work:
         raise ShellingError(f"apex {apex} already present in ambient complex")
     moves = starring_moves(shelling, apex)
-    for mv in moves:
-        try:
-            apply_move_inplace(work, mv, n)
-        except MoveError as e:
-            raise ShellingError(f"ambient link condition violated at {mv}: {e}") from e
-    return moves, apex
+    try:
+        apply_moves(work, moves, n)
+    except MoveError as e:
+        raise ShellingError(f"ambient link condition violated: {e}") from e
+    return moves
 
 
 def star_via_shelling(
-    ambient: Complex,
-    ball: Complex,
-    apex: Optional[int] = None,
-    *,
-    max_nodes: int = 500_000,
+    ambient: Complex, ball: Complex, apex: Optional[int] = None
 ) -> tuple[MoveSequence, Complex]:
     """Replace ``ball`` inside ``ambient`` by the cone on its boundary.
 
@@ -405,13 +385,16 @@ def star_via_shelling(
     contains apex ⋆ ∂ball in place of the ball and is returned alongside
     the digest-stamped sequence.
     """
+    shelling = find_shelling(ball)
+    if shelling is None:
+        raise ShellingError("ball is not shellable")
     work = WorkingComplex(ambient)
-    moves, used_apex = star_ball_inplace(
-        work, ball, apex, n=ambient.dimension, max_nodes=max_nodes
-    )
+    if apex is None:
+        apex = work.fresh_label()
+    moves = star_ball_inplace(work, ball, shelling, apex, ambient.dimension)
     result = work.snapshot()
     expected = {s for s in boundary_complex(ball).simplexes}
-    if work.link_simplexes((used_apex,)) != expected:
+    if work.link_simplexes((apex,)) != expected:
         raise ShellingError("starred apex link does not equal the ball boundary")
     seq = MoveSequence(tuple(moves), ambient.digest(), result.digest())
     return seq, result

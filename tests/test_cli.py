@@ -107,7 +107,7 @@ class TestReduceAndVerifyCli:
         data = json.loads(out.read_text())
 
         seq_file = tmp_path / "seq.json"
-        seq_file.write_text(dumps({"sequence": data["sequence"]})[:0] or dumps(data["sequence"]))
+        seq_file.write_text(dumps(data["sequence"]))
         start_file = tmp_path / "start.json"
         start_file.write_text(dumps(data["start"]))
         expect_file = tmp_path / "end.json"
@@ -199,6 +199,11 @@ class TestGeomCli:
         assert main(["geom", "kappa", "--geometry", "euclidean", "--n", "3"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["kappa"] == 0.75
+
+    def test_kappa_manifest_records_output(self, tmp_path):
+        out = tmp_path / "kappa.json"
+        assert main(["geom", "kappa", "--geometry", "euclidean", "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["manifest"]["outputs"] == [str(out)]
 
     def test_scaling_table_csv(self, tmp_path):
         csv_path = tmp_path / "table.csv"

@@ -2,15 +2,17 @@ import random
 
 import pytest
 
-from trimoves.complexes import close_under_faces
+from trimoves.complexes import Complex, WorkingComplex, close_under_faces
 from trimoves.pachner import (
     MoveError,
     PachnerMove,
     applicable,
     apply,
+    apply_moves,
     apply_sequence,
     bfs_equivalence,
     enumerate_moves,
+    ridge_counts,
     sequence_from_moves,
 )
 from .test_complexes import boundary_delta3
@@ -202,6 +204,26 @@ class TestReplayVerified:
         with pytest.raises(MoveError):
             replay_verified(disk, seq)
         replay_verified(disk, seq, check_pseudomanifold=False)
+
+
+class TestRidgeCheck:
+    def setup_method(self):
+        # the sphere with a triangle hanging off edge (1, 2), which then
+        # lies in three triangles
+        self.k = Complex(
+            boundary_delta3().simplexes | close_under_faces([(1, 2, 7)]).simplexes,
+            _assume_closed=True,
+        )
+        self.move = PachnerMove((1, 2, 3), (8,))
+
+    def test_degree_three_ridge_rejected(self):
+        with pytest.raises(MoveError, match=r"ridge \(1, 2\) has 3 cofacets"):
+            apply_moves(WorkingComplex(self.k), [self.move], 2, ridge_counts(self.k))
+
+    def test_applies_without_ridge_counts(self):
+        work = WorkingComplex(self.k)
+        apply_moves(work, [self.move], 2)
+        assert (1, 2, 8) in work and (1, 2, 3) not in work
 
 
 def random_closed_surface(rng, n_moves=6):

@@ -166,7 +166,7 @@ class TestBetaSquaredBridge:
                     carrier[child] = s
                 mid = tuple(sorted((w,) + rest))
                 simps.add(mid)
-                carrier[mid] = s if not rest else s
+                carrier[mid] = s
             else:
                 simps.add(s)
                 carrier[s] = s
