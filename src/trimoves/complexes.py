@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Iterable, Iterator, Optional
 
 Vertex = int
@@ -200,10 +200,7 @@ class Complex:
         tops = self.top_simplexes()
         if not self.is_pure():
             return False
-        ridge_tops: dict[Simplex, list[Simplex]] = {}
-        for t in tops:
-            for r in facets(t):
-                ridge_tops.setdefault(r, []).append(t)
+        ridge_tops = _ridge_tops(tops)
         if any(len(ts) != 2 for ts in ridge_tops.values()):
             return False
         # strong connectivity through ridges
@@ -229,6 +226,15 @@ class Complex:
     def digest(self) -> str:
         """Stable hash of the canonical serialization."""
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+
+
+def _ridge_tops(tops: Iterable[Simplex]) -> dict[Simplex, list[Simplex]]:
+    """The top simplexes through each ridge (facet of a top)."""
+    out: dict[Simplex, list[Simplex]] = {}
+    for t in tops:
+        for r in facets(t):
+            out.setdefault(r, []).append(t)
+    return out
 
 
 def close_under_faces(maximal: Iterable[Iterable[int]]) -> Complex:
@@ -389,6 +395,71 @@ def find_isomorphism(k: Complex, l: Complex) -> Optional[Isomorphism]:
     if iso.apply(k).simplexes != l.simplexes:  # bijection of simplex sets, exactly
         return None
     return iso
+
+
+# -- canonical form --------------------------------------------------------
+
+
+def isomorphism_signature(k: Complex) -> tuple[Simplex, ...]:
+    """A complete isomorphism invariant, after Burton's isomorphism
+    signatures: two complexes are isomorphic exactly when their signatures
+    are equal.
+
+    The domain is the pure, strongly connected complexes whose ridges each
+    lie in at most two top simplexes; any other input raises ValueError.
+    A start is one top simplex with one ordering of its vertices.  It labels
+    those vertices 0..n in that order, then walks the tops breadth-first
+    across ridges, taking the facets of each top opposite its vertices in
+    label order, and gives each newly reached vertex the next label.  The
+    signature is the least relabelled top set over all starts.  Only starts
+    whose vertex-degree sequence is least are tried; that choice commutes
+    with isomorphisms, so the signature stays complete.
+    """
+    tops = k.top_simplexes()
+    if not tops or not k.is_pure():
+        raise ValueError("isomorphism signature needs a nonempty pure complex")
+    # across[t][v] = (u, w): u is the top across the facet of t opposite v,
+    # and w is the vertex of u off that facet
+    across: dict[Simplex, dict[int, tuple[Simplex, int]]] = {t: {} for t in tops}
+    for r, ts in _ridge_tops(tops).items():
+        if len(ts) > 2:
+            raise ValueError(f"ridge {r} lies in {len(ts)} top simplexes")
+        if len(ts) == 2:
+            t, u = ts
+            rest = sum(r)
+            across[t][sum(t) - rest] = (u, sum(u) - rest)
+            across[u][sum(u) - rest] = (t, sum(t) - rest)
+    degree: dict[int, int] = {}
+    for t in tops:
+        for v in t:
+            degree[v] = degree.get(v, 0) + 1
+    least = min(sorted(degree[v] for v in t) for t in tops)
+    best: Optional[tuple[Simplex, ...]] = None
+    for t in tops:
+        if sorted(degree[v] for v in t) != least:
+            continue
+        for order in permutations(t):
+            if [degree[v] for v in order] != least:
+                continue
+            label = {v: i for i, v in enumerate(order)}
+            reached = [t]
+            seen = {t}
+            for cur in reached:
+                step = across[cur]
+                for v in sorted(cur, key=label.__getitem__):
+                    u, w = step.get(v, (None, None))
+                    if u is None or u in seen:
+                        continue
+                    seen.add(u)
+                    reached.append(u)
+                    if w not in label:
+                        label[w] = len(label)
+            if len(reached) != len(tops):
+                raise ValueError("complex is not strongly connected")
+            sig = tuple(sorted(tuple(sorted(label[v] for v in u)) for u in reached))
+            if best is None or sig < best:
+                best = sig
+    return best
 
 
 # -- mutable mirror ---------------------------------------------------------

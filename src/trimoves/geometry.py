@@ -440,7 +440,7 @@ def geometric_barycentric(
         for parent, apex in sub.apex_of.items():
             pts = current.lift(parent)
             c = centroid_coords(current.tag, pts)
-            coords[apex] = current.wrap(c) if current.period is not None else c
+            coords[apex] = current.wrap(c)
         nxt = GeomComplex(sub.complex, current.tag, coords, current.period)
         contraction = kappa(current.tag, current.complex.dimension, lam)
         if nxt.max_edge() > contraction * lam + CHECK_TOL:

@@ -17,9 +17,10 @@ from .complexes import (
     Complex,
     Simplex,
     WorkingComplex,
-    find_isomorphism,
+    isomorphism_signature,
     proper_faces,
 )
+from .complexes import find_isomorphism  # noqa: F401  unused; perfbench's tracer patches it here
 
 
 class MoveError(Exception):
@@ -78,10 +79,6 @@ class MoveSequence:
         )
 
 
-def _boundary_set(b: Simplex) -> set[Simplex]:
-    return set(proper_faces(b))
-
-
 def applicable(k: Complex, a: Simplex) -> Optional[Simplex]:
     """Return the unique B with lk(a, K) = ∂B and B ∉ K, if any.
 
@@ -130,7 +127,7 @@ def check_applicable(work: WorkingComplex, move: PachnerMove, n: int) -> None:
         raise MoveError(f"move simplex {a} absent")
     if b in work:
         raise MoveError(f"inserted simplex {b} already present")
-    if work.link_simplexes(a) != _boundary_set(b):
+    if work.link_simplexes(a) != set(proper_faces(b)):
         raise MoveError(f"link of {a} is not the boundary of {b}")
 
 
@@ -275,16 +272,6 @@ def apply_sequence(k: Complex, seq: MoveSequence) -> Complex:
     return replay_verified(k, seq, check_pseudomanifold=False)
 
 
-def _iso_signature(k: Complex) -> tuple:
-    links = []
-    for v in k.vertices():
-        counts: dict[int, int] = {}
-        for c in k.cofaces((v,)):
-            counts[len(c) - 1] = counts.get(len(c) - 1, 0) + 1
-        links.append(tuple(sorted(counts.items())))
-    return (k.f_vector(), tuple(sorted(links)))
-
-
 def bfs_equivalence(
     k: Complex,
     l: Complex,
@@ -293,12 +280,15 @@ def bfs_equivalence(
     max_nodes: int = 20_000,
 ) -> Optional[MoveSequence]:
     """Shortest move sequence from k to (a complex isomorphic to) l within
-    the depth bound, or None.  Visited complexes are bucketed by an
-    isomorphism signature and confirmed with an explicit isomorphism check,
-    so distinct complexes never merge."""
-    if find_isomorphism(k, l) is not None:
+    the depth bound, or None.  Complexes are compared by
+    ``isomorphism_signature``, so k and l must be pure, strongly connected
+    and have no ridge in more than two top simplexes (else ValueError);
+    isomorphic complexes are visited once and distinct ones never merge."""
+    goal = isomorphism_signature(l)
+    sig = isomorphism_signature(k)
+    if sig == goal:
         return sequence_from_moves(k, ())
-    seen: dict[tuple, list[Complex]] = {_iso_signature(k): [k]}
+    seen = {sig}
     queue: deque[tuple[Complex, tuple[PachnerMove, ...]]] = deque([(k, ())])
     nodes = 0
     while queue:
@@ -310,12 +300,11 @@ def bfs_equivalence(
             if nodes > max_nodes:
                 raise SearchCapExceeded(f"bfs exceeded {max_nodes} expansions")
             nxt = apply(current, move)
-            sig = _iso_signature(nxt)
-            bucket = seen.setdefault(sig, [])
-            if any(find_isomorphism(nxt, old) is not None for old in bucket):
+            sig = isomorphism_signature(nxt)
+            if sig in seen:
                 continue
-            bucket.append(nxt)
-            if find_isomorphism(nxt, l) is not None:
+            seen.add(sig)
+            if sig == goal:
                 return sequence_from_moves(k, path + (move,))
             queue.append((nxt, path + (move,)))
     return None

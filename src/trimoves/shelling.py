@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Optional
 
-from .complexes import Complex, Simplex, WorkingComplex, faces, facets
+from .complexes import Complex, Simplex, WorkingComplex, faces, facets, proper_faces
 from .pachner import (
     MoveError,
     MoveSequence,
@@ -121,10 +121,10 @@ class _BallState:
         """Check A ∩ ∂M = ∂A and B ⋆ ∂A ⊆ ∂M against the current state."""
         if self.in_boundary(a):
             return False
-        for f in proper_nonempty(a):
+        for f in proper_faces(a):
             if not self.in_boundary(f):
                 return False
-        a_proper = list(proper_nonempty(a)) + [()]
+        a_proper = list(proper_faces(a)) + [()]
         for bp in faces(b):
             for ap in a_proper:
                 f = tuple(sorted(bp + ap))
@@ -193,11 +193,6 @@ class _BallState:
 
     def state_key(self) -> frozenset:
         return frozenset(self.tops)
-
-
-def proper_nonempty(s: Simplex) -> Iterable[Simplex]:
-    for k in range(1, len(s)):
-        yield from combinations(s, k)
 
 
 def elementary_shellings(ball: Complex) -> list[ShellingStep]:

@@ -73,6 +73,17 @@ class TestPachnerCli:
                      "--max-depth", "2", "--output", str(out)]) == 0
         assert len(json.loads(out.read_text())["sequence"]["moves"]) == 1
 
+    def test_bfs_outside_signature_domain_exit_2(self, sphere_file, tmp_path):
+        # three triangles on one edge: no isomorphism signature, so no search
+        from trimoves.complexes import close_under_faces
+
+        fan = tmp_path / "fan.json"
+        fan.write_text(dumps(complex_to_dict(close_under_faces([(1, 2, 3), (1, 2, 4), (1, 2, 5)]))))
+        assert main(["pachner", "bfs", "--start", str(fan), "--goal", sphere_file,
+                     "--max-depth", "2"]) == 2
+        assert main(["pachner", "bfs", "--start", sphere_file, "--goal", str(fan),
+                     "--max-depth", "2"]) == 2
+
 
 class TestShellCli:
     def test_find_certificate(self, tmp_path):

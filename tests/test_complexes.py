@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +12,10 @@ from trimoves.complexes import (
     close_under_faces,
     cone,
     find_isomorphism,
+    isomorphism_signature,
     join,
 )
+from trimoves.fixtures import grid_torus_complex, random_closed_surface
 
 
 def boundary_delta3():
@@ -236,6 +239,54 @@ class TestIsomorphism:
         iso = find_isomorphism(k, l)
         assert iso is not None
         assert iso.apply(k) == l
+
+
+def random_relabelling(rng, k):
+    verts = k.vertices()
+    return Isomorphism(dict(zip(verts, rng.sample(range(100), len(verts))))).apply(k)
+
+
+class TestIsomorphismSignature:
+    def test_invariant_under_relabelling(self):
+        rng = random.Random(7)
+        cycles = [close_under_faces([(i, (i + 1) % n) for i in range(n)]) for n in (3, 5, 8)]
+        # on the larger surfaces, starts that tie on degrees give different
+        # relabellings, and only the least of them is invariant; every vertex
+        # of a grid torus has degree 6, so every top is a start
+        surfaces = [random_closed_surface(rng, n) for n in (0, 4, 8) + (30,) * 12]
+        tori = [grid_torus_complex(g).complex for g in (3, 4)]
+        delta4 = close_under_faces(itertools.combinations(range(5), 4))
+        for k in cycles + surfaces + tori + [delta4]:
+            sig = isomorphism_signature(k)
+            for _ in range(4):
+                assert isomorphism_signature(random_relabelling(rng, k)) == sig
+
+    def test_agrees_with_find_isomorphism(self):
+        # find_isomorphism is the reference: equal signatures exactly when an
+        # isomorphism exists, on every pair of a seeded sample
+        rng = random.Random(11)
+        sample = [random_closed_surface(rng, rng.randint(0, 10)) for _ in range(40)]
+        sample += [random_relabelling(rng, k) for k in sample[:5]]
+        sigs = [isomorphism_signature(k) for k in sample]
+        outcomes = set()
+        for i, j in itertools.combinations(range(len(sample)), 2):
+            iso = find_isomorphism(sample[i], sample[j]) is not None
+            assert (sigs[i] == sigs[j]) == iso, (sample[i], sample[j])
+            outcomes.add(iso)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize(
+        "maximal",
+        [
+            [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)],  # not strongly connected
+            [(0, 1, 2), (2, 3)],  # not pure
+            [(0, 1, 2), (0, 1, 3), (0, 1, 4)],  # an edge in three triangles
+            [],  # empty
+        ],
+    )
+    def test_outside_domain_rejected(self, maximal):
+        with pytest.raises(ValueError):
+            isomorphism_signature(close_under_faces(maximal))
 
 
 @st.composite

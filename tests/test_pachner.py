@@ -143,6 +143,21 @@ class TestBfs:
         # replay and confirm the endpoint is reached
         apply_sequence(k, seq)
 
+    @pytest.mark.parametrize(
+        "maximal",
+        [
+            [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (5, 6, 7)],  # not strongly connected
+            [(1, 2, 3), (3, 4)],  # not pure
+            [(1, 2, 3), (1, 2, 4), (1, 2, 5)],  # an edge in three triangles
+        ],
+    )
+    def test_start_or_goal_outside_signature_domain(self, maximal):
+        bad = close_under_faces(maximal)
+        with pytest.raises(ValueError):
+            bfs_equivalence(bad, boundary_delta3(), 2)
+        with pytest.raises(ValueError):
+            bfs_equivalence(boundary_delta3(), bad, 2)
+
 
 class TestVertexAccounting:
     def test_top_move_adds_exactly_one_fresh_vertex(self):

@@ -150,7 +150,6 @@ class TestComposeCarriers:
         import numpy as np
 
         from trimoves.geometry import GeomComplex, Geometry, geometric_barycentric
-        from trimoves.subdivision import compose_carriers as cc
 
         n = len(top) - 1
         corners = np.vstack([np.zeros(n), np.eye(n)])
