@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 from typing import Optional
 
 import numpy as np
@@ -31,6 +31,13 @@ from .subdivision import SubdividedComplex
 MERGE_TOL = 1e-9
 MIN_MEASURE = 1e-12
 CONTAIN_TOL = 1e-9
+
+# vertex labels of a subject simplex with k vertices: vertex i lies on the
+# facet plane opposite every other vertex
+_SUBJECT_LABELS = {
+    k: [frozenset(("sub", f) for f in range(k) if f != i) for i in range(k)]
+    for k in (2, 3, 4)
+}
 
 
 class IntersectionError(Exception):
@@ -114,17 +121,24 @@ def _clip_polygon(pts, labels, normal, offset, label, tol):
     return _dedupe_cycle(out_pts, out_labels)
 
 
+def _dist(p, q) -> float:
+    """Euclidean distance, computed as np.linalg.norm does for a real
+    vector, without its dispatch."""
+    v = p - q
+    return math.sqrt(v @ v)
+
+
 def _dedupe_cycle(pts, labels):
     if not pts:
         return [], []
     keep_pts, keep_labels = [], []
     for p, l in zip(pts, labels):
-        if keep_pts and np.linalg.norm(p - keep_pts[-1]) < MERGE_TOL:
+        if keep_pts and _dist(p, keep_pts[-1]) < MERGE_TOL:
             keep_labels[-1] = keep_labels[-1] | l
             continue
         keep_pts.append(p)
         keep_labels.append(l)
-    if len(keep_pts) > 1 and np.linalg.norm(keep_pts[0] - keep_pts[-1]) < MERGE_TOL:
+    if len(keep_pts) > 1 and _dist(keep_pts[0], keep_pts[-1]) < MERGE_TOL:
         keep_labels[0] = keep_labels[0] | keep_labels[-1]
         keep_pts.pop()
         keep_labels.pop()
@@ -159,7 +173,7 @@ def _dedupe_pointset(pts, labels):
     keep_labels: list[frozenset] = []
     for p, l in zip(pts, labels):
         for i, q in enumerate(keep_pts):
-            if np.linalg.norm(p - q) < MERGE_TOL:
+            if _dist(p, q) < MERGE_TOL:
                 keep_labels[i] = keep_labels[i] | l
                 break
         else:
@@ -168,25 +182,15 @@ def _dedupe_pointset(pts, labels):
     return keep_pts, keep_labels
 
 
-def clip_simplex_pair(sub_pts: np.ndarray, clip_pts: np.ndarray, tol: float = MERGE_TOL):
-    """Intersect two full-dimensional simplexes; returns (pts, labels) of the
-    clipped cell, with labels drawn from both simplexes' facet planes."""
-    d = sub_pts.shape[1]
-    labels = []
-    for i in range(sub_pts.shape[0]):
-        lab = set()
-        for f in range(sub_pts.shape[0]):
-            if f != i:
-                lab.add(("sub", f))
-        labels.append(frozenset(lab))
-    pts = [sub_pts[i] for i in range(sub_pts.shape[0])]
-    for normal, offset, cut_label in simplex_halfspaces(clip_pts):
-        if d == 1:
-            pts, labels = _clip_segment(pts, labels, normal, offset, cut_label, tol)
-        elif d == 2:
-            pts, labels = _clip_polygon(pts, labels, normal, offset, cut_label, tol)
-        else:
-            pts, labels = _clip_polyhedron(pts, labels, normal, offset, cut_label, tol)
+def clip_simplex_pair(sub_pts: np.ndarray, halfspaces):
+    """Clip a full-dimensional subject simplex by the half-spaces of another
+    (``simplex_halfspaces``); returns (pts, labels) of the clipped cell,
+    with labels drawn from both simplexes' facet planes."""
+    clip = (_clip_segment, _clip_polygon, _clip_polyhedron)[sub_pts.shape[1] - 1]
+    labels = _SUBJECT_LABELS[sub_pts.shape[0]]
+    pts = list(sub_pts)
+    for normal, offset, cut_label in halfspaces:
+        pts, labels = clip(pts, labels, normal, offset, cut_label, MERGE_TOL)
         if not pts:
             return [], []
     return pts, labels
@@ -285,6 +289,7 @@ class _VertexRegistry:
         self.grid: dict[tuple, list[int]] = {}
         self.coords: list[np.ndarray] = []
         self.h = MERGE_TOL
+        self.ncells = int(round(period / self.h)) if period is not None else None
 
     def wrap(self, x: np.ndarray) -> np.ndarray:
         if self.period is None:
@@ -293,16 +298,10 @@ class _VertexRegistry:
 
     def _keys_near(self, x: np.ndarray):
         base = np.floor(x / self.h).astype(int)
-        ncells = int(round(self.period / self.h)) if self.period else None
         ranges = [range(b - 1, b + 2) for b in base]
-        out = []
-        import itertools as it
-
-        for combo in it.product(*ranges):
-            if ncells:
-                combo = tuple(c % ncells for c in combo)
-            out.append(combo)
-        return out
+        if self.ncells is None:
+            return list(product(*ranges))
+        return [tuple(c % self.ncells for c in combo) for combo in product(*ranges)]
 
     def get_id(self, x: np.ndarray) -> int:
         x = self.wrap(np.asarray(x, dtype=float))
@@ -316,9 +315,8 @@ class _VertexRegistry:
         vid = len(self.coords)
         self.coords.append(x)
         key = tuple((np.floor(x / self.h).astype(int)))
-        if self.period is not None:
-            ncells = int(round(self.period / self.h))
-            key = tuple(c % ncells for c in key)
+        if self.ncells is not None:
+            key = tuple(c % self.ncells for c in key)
         self.grid.setdefault(key, []).append(vid)
         return vid
 
@@ -470,12 +468,12 @@ def intersect_linear(k1: GeomComplex, k2: GeomComplex) -> PolytopalComplex:
     region2 = sum(_top_measure(k2, s) for s in k2.complex.top_simplexes())
     if abs(region1 - region2) > 1e-6 * max(region1, region2):
         raise IntersectionError("the two complexes do not cover the same region")
+    tops2 = [(s2, k2.lift(s2)) for s2 in k2.complex.top_simplexes()]
     raw = []
     for s1 in k1.complex.top_simplexes():
-        c1 = k1.lift(s1)
-        for s2 in k2.complex.top_simplexes():
-            c2 = k2.lift(s2)
-            pts, labels = clip_simplex_pair(c2, c1)
+        halfspaces = simplex_halfspaces(k1.lift(s1))
+        for s2, c2 in tops2:
+            pts, labels = clip_simplex_pair(c2, halfspaces)
             if not pts:
                 continue
             lattice_measure = _measure_of(dim, pts, labels)
@@ -522,16 +520,20 @@ def torus_intersect(k1: GeomComplex, k2: GeomComplex) -> PolytopalComplex:
     shifts = [np.array(c, dtype=float) * period
               for c in np.ndindex(*(3,) * dim)]
     shifts = [s - period for s in shifts]
+    tops2 = []
+    for s2 in k2.complex.top_simplexes():
+        c2 = k2.lift(s2)
+        tops2.append((s2, c2, c2.mean(axis=0)))
     raw = []
     for s1 in k1.complex.top_simplexes():
         c1 = k1.lift(s1)
         a1 = c1.mean(axis=0)
-        for s2 in k2.complex.top_simplexes():
-            c2 = k2.lift(s2)
-            c2 = c2 + period * np.round((a1 - c2.mean(axis=0)) / period)
+        halfspaces = simplex_halfspaces(c1)
+        for s2, c2, a2 in tops2:
+            c2 = c2 + period * np.round((a1 - a2) / period)
             hits = []
             for t in shifts:
-                pts, labels = clip_simplex_pair(c2 + t, c1)
+                pts, labels = clip_simplex_pair(c2 + t, halfspaces)
                 if pts:
                     measure = _measure_of(dim, pts, labels)
                     if measure >= MIN_MEASURE:

@@ -10,6 +10,7 @@ from trimoves.intersect import (
     clip_simplex_pair,
     commonsub_count_check,
     intersect_linear,
+    simplex_halfspaces,
     torus_intersect,
 )
 
@@ -42,19 +43,19 @@ def square_pair():
 class TestClipPair:
     def test_identical_triangles(self):
         tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        pts, labels = clip_simplex_pair(tri, tri)
+        pts, labels = clip_simplex_pair(tri, simplex_halfspaces(tri))
         assert len(pts) == 3
 
     def test_disjoint(self):
         a = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         b = a + 10.0
-        pts, _ = clip_simplex_pair(a, b)
+        pts, _ = clip_simplex_pair(a, simplex_halfspaces(b))
         assert pts == []
 
     def test_quad_overlap(self):
         a = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
         b = np.array([[1.6, 1.6], [-0.4, 1.6], [1.6, -0.4]])
-        pts, _ = clip_simplex_pair(a, b)
+        pts, _ = clip_simplex_pair(a, simplex_halfspaces(b))
         assert len(pts) == 6  # hexagonal overlap of two opposite triangles
 
 
@@ -134,6 +135,38 @@ class TestTorus:
         )
         with pytest.raises(IntersectionError):
             torus_intersect(bad, bad)
+
+
+class TestHalfspacesPerTop:
+    """The clipping simplex's half-spaces are built once per top simplex of
+    the first complex, not once per clipped pair."""
+
+    @staticmethod
+    def _count_halfspaces(monkeypatch):
+        import trimoves.intersect as intersect_mod
+
+        calls = []
+        real = intersect_mod.simplex_halfspaces
+
+        def counting(pts):
+            calls.append(1)
+            return real(pts)
+
+        monkeypatch.setattr(intersect_mod, "simplex_halfspaces", counting)
+        return calls
+
+    def test_torus_once_per_top(self, monkeypatch):
+        k1 = grid_torus_complex(3)
+        k2 = grid_torus_complex(3, shift=(1 / 6, 1 / 6))
+        calls = self._count_halfspaces(monkeypatch)
+        torus_intersect(k1, k2)
+        assert len(calls) == 18
+
+    def test_linear_once_per_top(self, monkeypatch):
+        k1, k2 = random_chart_pair(np.random.default_rng(14))
+        calls = self._count_halfspaces(monkeypatch)
+        intersect_linear(k1, k2)
+        assert len(calls) == len(k1.complex.top_simplexes())
 
 
 class TestBarycentricPolytopal:
@@ -329,9 +362,9 @@ class TestThreeD:
             [[0.0, 0.0, 0.0], [1.1, 0.1, 0.0], [0.0, 1.2, 0.1], [0.1, 0.0, 1.0]]
         )
         b = a * 0.9 + np.array([0.18, 0.1, 0.07])
-        from trimoves.intersect import cell_face_lattice, cell_measure, clip_simplex_pair
+        from trimoves.intersect import cell_face_lattice, cell_measure
 
-        pts, labels = clip_simplex_pair(b, a)
+        pts, labels = clip_simplex_pair(b, simplex_halfspaces(a))
         assert len(pts) >= 4
         lattice = cell_face_lattice(3, pts, labels)
         vol = cell_measure(3, pts, lattice)

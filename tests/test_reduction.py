@@ -268,3 +268,12 @@ class TestRelate:
         assert len(res.common_vertices) > 8
         assert res.sequence.removed_vertices() & res.common_vertices == set()
         replay_verified(res.start, res.sequence, expect=res.end)
+        # the benchmark's seed-0 fingerprints of this pair
+        # (perfbench/reference.json, "fat")
+        assert res.sequence.start_digest == (
+            "f6ed454dd03158a9f2ed61c73127f9eee7644b2f3593ac7b537bc41947983b31"
+        )
+        assert res.sequence.end_digest == (
+            "bd46a5a18675169baff8f0da2533f6ee13eae6ab722bf127fdbe8d25e2629c2a"
+        )
+        assert len(res.sequence) == 4848
