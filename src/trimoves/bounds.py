@@ -39,19 +39,6 @@ def mu(tag: Geometry, n: int, lam: Optional[float] = None) -> mp.mpf:
         return n * mp.cosh(lam) ** (n - 1) + 1
 
 
-def kappa_exact(tag: Geometry, n: int, lam: Optional[float] = None) -> mp.mpf:
-    """The diameter contraction factor at 50 digits."""
-    with mp.workdps(DPS + _GUARD):
-        if tag == Geometry.EUCLIDEAN:
-            return mp.mpf(n) / (n + 1)
-        if tag == Geometry.SPHERICAL:
-            return mp.mpf(2 * n) / (2 * n + 1)
-        if lam is None:
-            raise ValueError("hyperbolic kappa needs the edge bound")
-        c = n * mp.cosh(lam) ** (n - 1)
-        return c / (c + 1)
-
-
 def depth_m(mu_value, lam: float, inj: float) -> int:
     """Smallest positive integer strictly greater than mu ln(lam/inj).
 
@@ -263,7 +250,8 @@ def _fmt(x: mp.mpf) -> str:
 def compute_report(data: ManifoldData) -> BoundReport:
     notes: list[str] = []
     mu_v = mu(data.tag, data.n, data.lam)
-    kap = kappa_exact(data.tag, data.n, data.lam)
+    with mp.workdps(DPS + _GUARD):
+        kap = (mu_v - 1) / mu_v  # the diameter contraction factor kappa
 
     inj = data.inj
     if inj is None and data.vol is not None:

@@ -37,7 +37,7 @@ from .pachner import (
     enumerate_moves,
     replay_verified,
 )
-from .reduction import ReductionError, ShellingFailure, alpha_to_beta, beta2_bridge, relate
+from .reduction import ReductionError, alpha_to_beta, beta2_bridge, relate
 from .serialize import (
     FormatError,
     common_subdivision_to_dict,
@@ -73,6 +73,25 @@ class CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
+
+
+# the file options each action reads; argparse can only require an option
+# for a whole subcommand, so _action_inputs checks them per action
+ACTION_FILES = {
+    "enumerate": ("input",), "apply": ("input", "move"), "bfs": ("start", "goal"),
+    "find": ("input",), "star": ("ambient", "ball"),
+    "alpha2beta": ("complex", "alpha"), "bridge": ("complex", "kprime"), "relate": ("k1", "k2"),
+}
+
+
+def _action_inputs(args) -> dict:
+    """The action's input files by option name; a missing one is an input
+    error that names it."""
+    names = ACTION_FILES[args.action]
+    missing = [f"--{o}" for o in names if getattr(args, o) is None]
+    if missing:
+        raise CliError(EXIT_INPUT, f"{args.command} {args.action} needs {', '.join(missing)}")
+    return {o: getattr(args, o) for o in names}
 
 
 def _read_json(path: str) -> dict:
@@ -162,7 +181,7 @@ def cmd_pachner(args) -> int:
         _write_output,
         args,
         f"pachner {args.action}",
-        {k: v for k, v in vars(args).items() if k in ("input", "start", "goal", "move") and v},
+        _action_inputs(args),
         {"max_depth": getattr(args, "max_depth", None)},
     )
     if args.action == "enumerate":
@@ -191,7 +210,7 @@ def cmd_shell(args) -> int:
         _write_output,
         args,
         f"shell {args.action}",
-        {k: v for k, v in vars(args).items() if k in ("input", "ambient", "ball") and v},
+        _action_inputs(args),
         {"apex": getattr(args, "apex", None)},
     )
     if args.action == "find":
@@ -233,7 +252,7 @@ def cmd_reduce(args) -> int:
         _write_output,
         args,
         f"reduce {args.action}",
-        {k: v for k, v in vars(args).items() if k in ("complex", "alpha", "kprime", "k1", "k2") and v},
+        _action_inputs(args),
         {},
     )
     if args.action == "alpha2beta":
@@ -350,7 +369,7 @@ def cmd_geom(args) -> int:
     rows = []
     for trial in range(args.count):
         s = random_simplex(tag, args.n, args.lam, rng)
-        centroid(s, verify=True)
+        centroid(s)
         for i in range(args.n + 1):
             rows.append([trial, i, f"{median_ratio(s, i):.12f}"])
     _write_csv(args.csv, ["trial", "vertex", "median_ratio"], rows)
@@ -470,7 +489,7 @@ def main(argv=None) -> int:
     except (ResourceCapExceeded, SearchCapExceeded) as e:
         print(f"resource cap: {e}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (MoveError, ShellingError, ShellingFailure, ReductionError, IntersectionError, GeometryError) as e:
+    except (MoveError, ShellingError, ReductionError, IntersectionError, GeometryError) as e:
         print(f"verification failure: {e}", file=sys.stderr)
         return EXIT_INVARIANT
     except (ValueError, KeyError) as e:

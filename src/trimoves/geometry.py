@@ -57,13 +57,13 @@ def normalize_point(tag: Geometry, x: np.ndarray) -> np.ndarray:
     return x / math.sqrt(q)
 
 
-def check_point(tag: Geometry, x: np.ndarray, tol: float = CHECK_TOL) -> None:
+def check_point(tag: Geometry, x: np.ndarray) -> None:
     if tag == Geometry.SPHERICAL:
-        if abs(np.linalg.norm(x) - 1.0) > tol:
-            raise GeometryError(f"spherical point off the unit sphere by > {tol}")
+        if abs(np.linalg.norm(x) - 1.0) > CHECK_TOL:
+            raise GeometryError(f"spherical point off the unit sphere by > {CHECK_TOL}")
     elif tag == Geometry.HYPERBOLIC:
-        if abs(minkowski(x, x) + 1.0) > tol or x[-1] <= 0:
-            raise GeometryError(f"hyperbolic point off the hyperboloid by > {tol}")
+        if abs(minkowski(x, x) + 1.0) > CHECK_TOL or x[-1] <= 0:
+            raise GeometryError(f"hyperbolic point off the hyperboloid by > {CHECK_TOL}")
 
 
 def _dist_arrays(tag: Geometry, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -122,6 +122,12 @@ def point_to_geodesic(tag: Geometry, x: np.ndarray, p: np.ndarray, q: np.ndarray
     return distance(tag, x, geodesic_point(tag, p, q, 0.5 * (lo + hi)))
 
 
+def torus_wrap(x: np.ndarray, period: Optional[float]) -> np.ndarray:
+    """x reduced into the fundamental domain [0, period)^d of the flat torus
+    R^d / (period Z)^d; x itself when there is no period."""
+    return x if period is None else np.mod(x, period)
+
+
 def centroid_coords(tag: Geometry, verts: np.ndarray) -> np.ndarray:
     """Centroid of a geometric simplex: the plain average for Euclidean
     vertices, the radial projection of the average for the curved models."""
@@ -147,16 +153,16 @@ class GeomSimplex:
     def k(self) -> int:
         return self.verts.shape[0] - 1
 
-    def validate(self, *, tol: float = CHECK_TOL) -> None:
+    def validate(self) -> None:
         for row in self.verts:
-            check_point(self.tag, row, tol)
+            check_point(self.tag, row)
         if np.linalg.matrix_rank(
             self.verts - self.verts[0] if self.tag == Geometry.EUCLIDEAN else self.verts,
             tol=1e-10,
         ) < (self.k if self.tag == Geometry.EUCLIDEAN else self.k + 1):
             raise GeometryError("degenerate simplex: lifted vertices dependent")
         if self.tag == Geometry.SPHERICAL:
-            if self.max_edge() > math.pi / 2 + tol:
+            if self.max_edge() > math.pi / 2 + CHECK_TOL:
                 raise GeometryError("spherical simplex with an edge longer than pi/2")
             c = normalize_point(self.tag, np.sum(self.verts, axis=0))
             if np.min(self.verts @ c) <= 0:
@@ -184,38 +190,38 @@ class GeomSimplex:
         return np.stack([normalize_point(self.tag, p) for p in pts])
 
 
-def centroid(simplex: GeomSimplex, *, verify: bool = True, tol: float = CHECK_TOL) -> np.ndarray:
-    """The common intersection point of all medial segments.
-
-    When ``verify`` is set, the returned point is checked to lie within
-    ``tol`` of the geodesic between the centroids of the two sides of every
-    proper split of the vertex set.
-    """
+def centroid(simplex: GeomSimplex) -> np.ndarray:
+    """The common intersection point of all medial segments, checked to lie
+    within CHECK_TOL of the geodesic between the centroids of the two sides
+    of every proper split of the vertex set."""
     if simplex.k == 0:
         return simplex.verts[0].copy()
     c = simplex.centroid()
-    if verify:
-        idx = range(simplex.k + 1)
-        for r in range(1, simplex.k + 1):
-            for left in combinations(idx, r):
-                right = tuple(i for i in idx if i not in left)
-                ca = centroid_coords(simplex.tag, simplex.verts[list(left)])
-                cb = centroid_coords(simplex.tag, simplex.verts[list(right)])
-                if point_to_geodesic(simplex.tag, c, ca, cb) > tol:
-                    raise GeometryError(
-                        f"centroid misses the ({left}, {right}) medial segment"
-                    )
+    idx = range(simplex.k + 1)
+    for r in range(1, simplex.k + 1):
+        for left in combinations(idx, r):
+            right = tuple(i for i in idx if i not in left)
+            ca = centroid_coords(simplex.tag, simplex.verts[list(left)])
+            cb = centroid_coords(simplex.tag, simplex.verts[list(right)])
+            if point_to_geodesic(simplex.tag, c, ca, cb) > CHECK_TOL:
+                raise GeometryError(
+                    f"centroid misses the ({left}, {right}) medial segment"
+                )
     return c
+
+
+def _median_split(simplex: GeomSimplex, vertex_index: int):
+    """(a, c(S), c(B)) for the split S = a ⋆ B at the given vertex."""
+    rest = [i for i in range(simplex.k + 1) if i != vertex_index]
+    if not rest:
+        raise GeometryError("median ratio needs a positive-dimensional simplex")
+    c_b = centroid_coords(simplex.tag, simplex.verts[rest])
+    return simplex.verts[vertex_index], simplex.centroid(), c_b
 
 
 def median_ratio(simplex: GeomSimplex, vertex_index: int = 0) -> float:
     """d(a, c(S)) / d(a, c(B)) for the split S = a ⋆ B at the given vertex."""
-    a = simplex.verts[vertex_index]
-    rest = [i for i in range(simplex.k + 1) if i != vertex_index]
-    if not rest:
-        raise GeometryError("median ratio needs a positive-dimensional simplex")
-    c_all = simplex.centroid()
-    c_b = centroid_coords(simplex.tag, simplex.verts[rest])
+    a, c_all, c_b = _median_split(simplex, vertex_index)
     denom = distance(simplex.tag, a, c_b)
     if denom < 1e-13:
         raise GeometryError("degenerate simplex: vertex coincides with face centroid")
@@ -226,10 +232,7 @@ def median_sinh_ratio(simplex: GeomSimplex, vertex_index: int = 0) -> float:
     """sinh d(a, c(S)) / sinh d(c(S), c(B)) for hyperbolic simplexes."""
     if simplex.tag != Geometry.HYPERBOLIC:
         raise GeometryError("sinh ratio is a hyperbolic quantity")
-    a = simplex.verts[vertex_index]
-    rest = [i for i in range(simplex.k + 1) if i != vertex_index]
-    c_all = simplex.centroid()
-    c_b = centroid_coords(simplex.tag, simplex.verts[rest])
+    a, c_all, c_b = _median_split(simplex, vertex_index)
     return math.sinh(distance(simplex.tag, a, c_all)) / math.sinh(
         distance(simplex.tag, c_all, c_b)
     )
@@ -239,10 +242,7 @@ def median_sin_ratio(simplex: GeomSimplex, vertex_index: int = 0) -> float:
     """sin d(a, c(S)) / sin d(c(S), c(B)) for spherical simplexes."""
     if simplex.tag != Geometry.SPHERICAL:
         raise GeometryError("sin ratio is a spherical quantity")
-    a = simplex.verts[vertex_index]
-    rest = [i for i in range(simplex.k + 1) if i != vertex_index]
-    c_all = simplex.centroid()
-    c_b = centroid_coords(simplex.tag, simplex.verts[rest])
+    a, c_all, c_b = _median_split(simplex, vertex_index)
     return math.sin(distance(simplex.tag, a, c_all)) / math.sin(
         distance(simplex.tag, c_all, c_b)
     )
@@ -412,11 +412,6 @@ class GeomComplex:
                         f"torus simplex {s} spans half the period on some axis"
                     )
 
-    def wrap(self, x: np.ndarray) -> np.ndarray:
-        if self.period is None:
-            return x
-        return np.mod(x, self.period)
-
 
 def geometric_barycentric(
     gk: GeomComplex, m: int, *, max_simplexes: int = 2_000_000
@@ -440,7 +435,7 @@ def geometric_barycentric(
         for parent, apex in sub.apex_of.items():
             pts = current.lift(parent)
             c = centroid_coords(current.tag, pts)
-            coords[apex] = current.wrap(c)
+            coords[apex] = torus_wrap(c, current.period)
         nxt = GeomComplex(sub.complex, current.tag, coords, current.period)
         contraction = kappa(current.tag, current.complex.dimension, lam)
         if nxt.max_edge() > contraction * lam + CHECK_TOL:
@@ -497,14 +492,10 @@ def scaling_levels(simplex: GeomSimplex, m: int) -> Iterator[tuple[int, int, flo
 # -- random instances ---------------------------------------------------------
 
 
-def random_simplex(
-    tag: Geometry,
-    n: int,
-    lam: float,
-    rng: np.random.Generator,
-    *,
-    max_tries: int = 200,
-) -> GeomSimplex:
+SAMPLE_TRIES = 200  # rejection-sampling attempts of random_simplex
+
+
+def random_simplex(tag: Geometry, n: int, lam: float, rng: np.random.Generator) -> GeomSimplex:
     """Rejection-sample n+1 vertices in a ball of radius lam/2 around a base
     point; degenerate sets (near-dependent edge directions) are rejected.
     Spherical sampling additionally enforces pairwise distances <= pi/2."""
@@ -527,7 +518,7 @@ def random_simplex(
             return math.cos(r) * base + math.sin(r) * direction
         return math.cosh(r) * base + math.sinh(r) * direction
 
-    for _ in range(max_tries):
+    for _ in range(SAMPLE_TRIES):
         us = []
         for _ in range(n + 1):
             while True:
@@ -554,4 +545,4 @@ def random_simplex(
         if s.max_edge() > lam:
             continue
         return s
-    raise GeometryError(f"could not sample a non-degenerate simplex in {max_tries} tries")
+    raise GeometryError(f"could not sample a non-degenerate simplex in {SAMPLE_TRIES} tries")

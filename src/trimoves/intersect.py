@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .complexes import Complex, Simplex
-from .geometry import GeomComplex, Geometry
+from .geometry import GeomComplex, Geometry, torus_wrap
 from .subdivision import SubdividedComplex
 
 MERGE_TOL = 1e-9
@@ -215,7 +215,7 @@ def cell_measure(dim: int, pts: list[np.ndarray], faces_by_dim=None) -> float:
     return vol
 
 
-def _order_cycle(pts, idxs, normal=None):
+def _order_cycle(pts, idxs):
     """Order vertex indices of a planar convex polygon into a cycle."""
     arr = np.asarray([pts[i] for i in idxs])
     center = arr.mean(axis=0)
@@ -291,11 +291,6 @@ class _VertexRegistry:
         self.h = MERGE_TOL
         self.ncells = int(round(period / self.h)) if period is not None else None
 
-    def wrap(self, x: np.ndarray) -> np.ndarray:
-        if self.period is None:
-            return x
-        return np.mod(x, self.period)
-
     def _keys_near(self, x: np.ndarray):
         base = np.floor(x / self.h).astype(int)
         ranges = [range(b - 1, b + 2) for b in base]
@@ -304,7 +299,7 @@ class _VertexRegistry:
         return [tuple(c % self.ncells for c in combo) for combo in product(*ranges)]
 
     def get_id(self, x: np.ndarray) -> int:
-        x = self.wrap(np.asarray(x, dtype=float))
+        x = torus_wrap(np.asarray(x, dtype=float), self.period)
         for key in self._keys_near(x):
             for vid in self.grid.get(key, ()):
                 delta = np.abs(self.coords[vid] - x)
@@ -409,11 +404,13 @@ def _assemble(
         cells.append(
             ConvexCell(dim, cell_vids, lift, lattice, prov, measure)
         )
+        # carriers come from the first cell (in the fixed order) with the face;
+        # the smallest containing parent face is the same from every cell
         for d in range(dim + 1):
             for local in lattice[d]:
                 key = tuple(sorted(vids[i] for i in local))
-                fpts = [pts[i] for i in local]
                 if key not in faces:
+                    fpts = [pts[i] for i in local]
                     faces[key] = FaceRec(
                         d,
                         key,
@@ -421,17 +418,6 @@ def _assemble(
                         _smallest_containing_face(prov[0], chart1, fpts),
                         _smallest_containing_face(prov[1], chart2, fpts),
                     )
-                else:
-                    rec = faces[key]
-                    # the smallest containing parent face is the same from
-                    # every incident cell; keep the lexicographic minimum to
-                    # stay deterministic under float jitter
-                    c1 = _smallest_containing_face(prov[0], chart1, fpts)
-                    c2 = _smallest_containing_face(prov[1], chart2, fpts)
-                    if (len(c1), c1) < (len(rec.carrier1), rec.carrier1):
-                        rec.carrier1 = c1
-                    if (len(c2), c2) < (len(rec.carrier2), rec.carrier2):
-                        rec.carrier2 = c2
         # boundary containment: D-face contains (D-1)-faces with subset vids
         for d in range(1, dim + 1):
             for local in lattice[d]:
@@ -585,9 +571,6 @@ def barycentric_polytopal(
     carrier1: dict[Simplex, Simplex] = {}
     carrier2: dict[Simplex, Simplex] = {}
     sub: dict[tuple, set[Simplex]] = {}
-    registryless_wrap = (
-        (lambda x: np.mod(x, poly.period)) if poly.period is not None else (lambda x: x)
-    )
     for d in range(0, poly.dim + 1):
         for rec in poly.faces_of_dim(d):
             if d == 0:
@@ -601,7 +584,7 @@ def barycentric_polytopal(
                 boundary |= sub[bkey]
             apex = next_label
             next_label += 1
-            coords[apex] = registryless_wrap(np.mean(rec.lift, axis=0))
+            coords[apex] = torus_wrap(np.mean(rec.lift, axis=0), poly.period)
             carrier1[(apex,)] = rec.carrier1
             carrier2[(apex,)] = rec.carrier2
             coned = {(apex,)}

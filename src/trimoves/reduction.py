@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from math import factorial
 from typing import Optional
 
-from .bounds import depth_m, depth_mprime, reduction_sum_bound, bridge_sum_bound, mu, total_bound
+from .bounds import depth_m, reduction_sum_bound, bridge_sum_bound, mu, total_bound
 from .complexes import Complex, Isomorphism, Simplex, WorkingComplex
 from .complexes import find_isomorphism  # noqa: F401  unused; perfbench's tracer patches it here
 from .geometry import GeomComplex, Geometry, geometric_barycentric, kappa
@@ -29,18 +29,10 @@ from .subdivision import (
     SubdividedComplex,
     barycentric,
     compose_carriers,
+    iterated_barycentric,
     partial_relative,
     skeleton_counts,
 )
-
-
-class ShellingFailure(Exception):
-    """A star neighbourhood could not be shelled; callers may escalate by
-    pre-subdividing the input subdivision twice and restarting."""
-
-    def __init__(self, simplex: Simplex, message: str):
-        super().__init__(f"S({simplex}): {message}")
-        self.simplex = simplex
 
 
 class ReductionError(Exception):
@@ -48,15 +40,8 @@ class ReductionError(Exception):
 
 
 @dataclass
-class LevelRecord:
-    r: int
-    a: Simplex
-    ball_tops: int  # moves spent equals the top-simplex count of S(A)
-
-
-@dataclass
 class ReductionTrace:
-    """Per-starring records plus the per-level and total bound checks.
+    """Per-level and total move counts against their bounds.
 
     ``level_checks[r]`` is ``"exact"``: the working complex, relabelled by the
     apex map (``apex_of[a]`` to the reference's apex for ``a``, the identity
@@ -65,7 +50,6 @@ class ReductionTrace:
     sends ``result`` onto the barycentric subdivision of the parent.
     """
 
-    records: list[LevelRecord] = field(default_factory=list)
     per_level_moves: dict[int, int] = field(default_factory=dict)
     per_level_bounds: dict[int, int] = field(default_factory=dict)
     total_moves: int = 0
@@ -108,7 +92,6 @@ def _join_sets(a_part: set[Simplex], l_part: set[Simplex]) -> set[Simplex]:
 
 SHELLING_NODE_CAP = 2_000_000  # node budget of one star-neighbourhood shelling search
 BRIDGE_LAYERS = 2  # barycentric layers beta2_bridge puts on kprime
-MAX_ESCALATIONS = 2  # two-layer escalations relate tries after a shelling failure
 
 
 def alpha_to_beta(
@@ -117,8 +100,8 @@ def alpha_to_beta(
     """Moves taking the subdivision ``alpha`` of ``k`` to the barycentric
     subdivision of ``k``, up to the relabelling ``trace.final_isomorphism``.
 
-    Raises ShellingFailure when some star neighbourhood S(A) admits no
-    shelling; the caller escalates per the two-extra-layers strategy.
+    Raises ReductionError naming S(A) when some star neighbourhood admits
+    no shelling.
     """
     if not k.is_closed_pseudomanifold():
         raise ReductionError("the parent complex must be a closed pseudomanifold")
@@ -159,14 +142,13 @@ def alpha_to_beta(
                 raise ReductionError(f"S({a}) is not full-dimensional")
             shelling = find_shelling(ball, max_nodes=SHELLING_NODE_CAP)
             if shelling is None:
-                raise ShellingFailure(a, "star neighbourhood is not shellable")
+                raise ReductionError(f"S({a}): star neighbourhood is not shellable")
             apex = work.fresh_label()
             try:
                 mvs = star_ball_inplace(work, ball, shelling, apex, n)
             except ShellingError as e:
                 raise ShellingError(f"starring S({a}): {e}") from e
             trace.apex_of[a] = apex
-            trace.records.append(LevelRecord(r, a, len(mvs)))
             level_moves += len(mvs)
             moves.extend(mvs)
         trace.per_level_moves[r] = level_moves
@@ -226,20 +208,14 @@ def _check_level(
     return relabel
 
 
-def _layered(base: SubdividedComplex, layers: int) -> SubdividedComplex:
-    out = base
-    for _ in range(layers):
-        out = compose_carriers(barycentric(out.complex), out)
-    return out
-
-
 def beta2_bridge(
     k: Complex, kprime: SubdividedComplex
 ) -> tuple[MoveSequence, ReductionTrace]:
     """Relate the twice-subdivided ``kprime`` to the barycentric subdivision
     of ``k``, with the move count checked against the double-factorial sum
     over the skeleton counts of ``kprime`` (p_0 = 2 convention)."""
-    seq, trace = alpha_to_beta(k, _layered(kprime, BRIDGE_LAYERS))
+    layered = compose_carriers(iterated_barycentric(kprime.complex, BRIDGE_LAYERS), kprime)
+    seq, trace = alpha_to_beta(k, layered)
     bound = bridge_sum_bound(k.dimension, k.f_vector(), skeleton_counts(kprime))
     trace.notes.append(
         f"two-layer bound {bound} (ridge links contribute the fixed "
@@ -265,6 +241,8 @@ class RelateResult:
     common: CommonSubdivision
     common_vertices: frozenset[int]
     pre_subdivision_depth: int
+    # always 0: every star neighbourhood in dimensions 1 and 2 is shellable,
+    # so relate never adds layers; kept for the CLI JSON and perfbench's tracer
     escalation_layers: int
     bound_m: int
     bound_value: int
@@ -273,8 +251,6 @@ class RelateResult:
 
 def _min_convexity_depth(gk: GeomComplex) -> int:
     """Smallest m with kappa^m Lambda < 2 r(M) on the flat torus/circle."""
-    if gk.period is None:
-        raise ReductionError("the end-to-end pipeline runs on torus quotients")
     lam = gk.max_edge()
     inj = gk.period / 2  # = 2 r(M)
     n = gk.complex.dimension
@@ -295,8 +271,8 @@ def relate(k1: GeomComplex, k2: GeomComplex, *, verify: bool = True) -> RelateRe
     Both inputs are barycentrically subdivided until every simplex sits in
     a strongly convex ball, intersected on the torus, and reduced through
     the common subdivision; the two reductions are stitched back to back.
-    Shelling failures escalate by putting two more barycentric layers on
-    the common subdivision and restarting.
+    In dimensions 1 and 2 every star neighbourhood is a 1- or 2-ball, and
+    those are all shellable (Danaraj and Klee 1978), so one pass suffices.
     """
     if k1.tag != k2.tag or k1.tag != Geometry.EUCLIDEAN:
         raise ReductionError("the desk-scale pipeline is Euclidean (flat torus/circle)")
@@ -318,24 +294,8 @@ def relate(k1: GeomComplex, k2: GeomComplex, *, verify: bool = True) -> RelateRe
     poly = torus_intersect(b1, b2)
     common = barycentric_polytopal(poly, b1, b2)
 
-    notes: list[str] = []
-    layers = 0
-    while True:
-        alpha1 = _layered(common.as_subdivided(1), layers)
-        alpha2 = _layered(common.as_subdivided(2), layers)
-        if alpha1.complex.digest() != alpha2.complex.digest():
-            raise ReductionError("the two carrier views diverged on the same complex")
-        try:
-            seq1, trace1 = alpha_to_beta(b1.complex, alpha1)
-            seq2, trace2 = alpha_to_beta(b2.complex, alpha2)
-            break
-        except ShellingFailure as e:
-            layers += 2
-            notes.append(f"escalated to {layers} extra layers after {e}")
-            if layers > 2 * MAX_ESCALATIONS:
-                raise
-    if layers == 0:
-        notes.append("direct reduction through the common subdivision succeeded")
+    seq1, trace1 = alpha_to_beta(b1.complex, common.as_subdivided(1))
+    seq2, trace2 = alpha_to_beta(b2.complex, common.as_subdivided(2))
 
     full = MoveSequence(
         seq1.reversed().moves + seq2.moves, seq1.end_digest, seq2.end_digest
@@ -353,7 +313,8 @@ def relate(k1: GeomComplex, k2: GeomComplex, *, verify: bool = True) -> RelateRe
         raise ReductionError(f"sequence removed common vertices {sorted(removed)}")
 
     m_bound = depth_m(mu(Geometry.EUCLIDEAN, n), lam, inj)
-    bound = total_bound(n, p, q, m_bound if n <= 4 else depth_mprime(m_bound, n))
+    # n <= 2, so the direct bound with exponent 4 + 3m applies (it holds for n <= 4)
+    bound = total_bound(n, p, q, m_bound)
     if len(full) >= bound:
         raise ReductionError(f"sequence length {len(full)} reached the bound {bound}")
 
@@ -369,8 +330,8 @@ def relate(k1: GeomComplex, k2: GeomComplex, *, verify: bool = True) -> RelateRe
         common=common,
         common_vertices=common_vertices,
         pre_subdivision_depth=m_geo,
-        escalation_layers=layers,
+        escalation_layers=0,
         bound_m=m_bound,
         bound_value=bound,
-        notes=notes,
+        notes=["direct reduction through the common subdivision succeeded"],
     )

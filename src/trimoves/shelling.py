@@ -310,15 +310,13 @@ def find_shelling(
     return None
 
 
-def find_sphere_shelling(
-    sphere: Complex, *, max_nodes: int = 500_000
-) -> Optional[tuple[Simplex, Shelling]]:
+def find_sphere_shelling(sphere: Complex) -> Optional[tuple[Simplex, Shelling]]:
     """Remove some top simplex and shell the remaining ball."""
     if not sphere.is_pure():
         raise ValueError("expected a pure complex")
     for t in sorted(sphere.top_simplexes()):
         ball = Complex(sphere.simplexes - {t}, _assume_closed=True)
-        sh = find_shelling(ball, max_nodes=max_nodes)
+        sh = find_shelling(ball)
         if sh is not None:
             return t, sh
     return None

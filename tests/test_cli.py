@@ -232,3 +232,26 @@ class TestGeomCli:
                          "spherical", "--n", "2", "--lam", "1.0", "--count", "3",
                          "--csv", str(path)]) == 0
         assert a.read_text() == b.read_text()
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["pachner", "enumerate"], "--input"),
+        (["pachner", "apply"], "--input"),
+        (["pachner", "bfs"], "--start"),
+        (["shell", "find"], "--input"),
+        (["shell", "star"], "--ambient"),
+        (["reduce", "relate"], "--k1"),
+        (["reduce", "alpha2beta"], "--complex"),
+        (["reduce", "bridge"], "--complex"),
+        (["pachner", "apply", "--input", "k.json"], "--move"),
+    ],
+)
+def test_missing_action_file_exit_2(argv, option, capsys):
+    # an action run without a file option it reads is an input error that
+    # names the option, not a crash
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert option in err
+    assert "Traceback" not in err

@@ -169,6 +169,26 @@ class TestHalfspacesPerTop:
         assert len(calls) == len(k1.complex.top_simplexes())
 
 
+class TestCarriersOncePerFace:
+    def test_two_carrier_solves_per_face(self, monkeypatch):
+        # each face's two carriers are solved once, when the first cell that
+        # has the face creates it, never again for later incident cells
+        import trimoves.intersect as intersect_mod
+
+        calls = []
+        real = intersect_mod._smallest_containing_face
+
+        def counting(simplex_abs, chart, pts):
+            calls.append(simplex_abs)
+            return real(simplex_abs, chart, pts)
+
+        monkeypatch.setattr(intersect_mod, "_smallest_containing_face", counting)
+        poly = torus_intersect(
+            grid_torus_complex(3), grid_torus_complex(3, shift=(1 / 6, 1 / 6))
+        )
+        assert len(calls) == 2 * len(poly.faces) == 360
+
+
 class TestBarycentricPolytopal:
     def test_single_triangle_cell(self):
         tri = GeomComplex(

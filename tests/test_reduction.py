@@ -148,6 +148,12 @@ class TestAlphaToBeta:
         with pytest.raises(ReductionError, match="after level 2"):
             alpha_to_beta(k, identity_subdivision(k))
 
+    def test_unshellable_star_neighbourhood_rejected(self, monkeypatch):
+        monkeypatch.setattr(reduction, "find_shelling", lambda ball, **kw: None)
+        k = boundary_delta3()
+        with pytest.raises(ReductionError, match=r"^S\(\(\d+, \d+, \d+\)\): star neighbourhood"):
+            alpha_to_beta(k, identity_subdivision(k))
+
 
 class TestBetaSquaredBridge:
     def split_edge_subdivision(self, k, edge):
@@ -232,6 +238,22 @@ class TestRelate:
         # both endpoints are barycentric subdivisions of 18-triangle tori
         assert res.start.f_vector()[2] == 108
         assert res.end.f_vector()[2] == 108
+
+    def test_unshellable_star_neighbourhood_stops_relate(self, monkeypatch):
+        # no second attempt with more layers: the first failed reduction ends
+        # the run with an error naming S(A)
+        calls = []
+        real = reduction.alpha_to_beta
+
+        def counting(k, alpha):
+            calls.append(k)
+            return real(k, alpha)
+
+        monkeypatch.setattr(reduction, "find_shelling", lambda ball, **kw: None)
+        monkeypatch.setattr(reduction, "alpha_to_beta", counting)
+        with pytest.raises(ReductionError, match=r"^S\(.*\): star neighbourhood is not shellable"):
+            relate(circle_complex(3), circle_complex(5, offset=0.09))
+        assert len(calls) == 1
 
     def test_rejects_mismatched_periods(self):
         with pytest.raises(ReductionError):
