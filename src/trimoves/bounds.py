@@ -8,6 +8,7 @@ never understated.
 """
 from __future__ import annotations
 
+import decimal
 import json
 import math
 from dataclasses import dataclass, field
@@ -114,11 +115,13 @@ def reduction_sum_bound(n: int, p_vector, s_vector) -> int:
     s = list(s_vector)
     if len(p) != n + 1 or len(s) != n + 1:
         raise ValueError(f"expected vectors of length {n + 1}")
+    return sum(reduction_level_bound(n, i, p, s[i]) for i in range(1, n + 1))
 
-    def pi(i: int) -> int:
-        return 1 if i == -1 else p[i]
 
-    return sum(math.factorial(n - i) * pi(n - i - 1) * s[i] for i in range(1, n + 1))
+def reduction_level_bound(n: int, r: int, p_vector, s_r: int) -> int:
+    """(n-r)! p_{n-r-1} s_r with p_{-1} = 1: the moves level r of the
+    reduction may use."""
+    return math.factorial(n - r) * (1 if r == n else p_vector[n - r - 1]) * s_r
 
 
 def bridge_sum_bound(n: int, p_vector, s_vector) -> int:
@@ -234,12 +237,18 @@ class BoundReport:
                 "kappa": self.kappa,
                 "m": self.m,
                 "mprime": self.mprime,
-                "values": {k: str(v) for k, v in sorted(self.values.items())},
+                "values": {k: _text(v) for k, v in sorted(self.values.items())},
                 "notes": self.notes,
             },
             indent=2,
             sort_keys=True,
         )
+
+
+def _text(v) -> str:
+    """A value as text; an exact integer goes through ``Decimal``, which has
+    no digit limit (``str(int)`` refuses more than 4,300 digits)."""
+    return str(decimal.Decimal(v)) if isinstance(v, int) else str(v)
 
 
 def _fmt(x: mp.mpf) -> str:

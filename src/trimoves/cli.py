@@ -328,9 +328,8 @@ def cmd_bound(args) -> int:
     except (KeyError, ValueError, TypeError) as e:
         raise CliError(EXIT_INPUT, f"bad manifold data: {e}") from e
     report = compute_report(md)
-    _write_output(
-        args, "bound compute", {"input": args.input}, {}, {"report": json.loads(report.to_json())}
-    )
+    report_dict = json.loads(report.to_json())
+    _write_output(args, "bound compute", {"input": args.input}, {}, {"report": report_dict})
     if args.table:
         lines = [
             f"{'quantity':24} value",
@@ -339,7 +338,7 @@ def cmd_bound(args) -> int:
             f"{'m':24} {report.m}",
             f"{'mprime':24} {report.mprime}",
         ]
-        for k, v in sorted(report.values.items()):
+        for k, v in sorted(report_dict["values"].items()):
             lines.append(f"{k:24} {v}")
         Path(args.table).write_text("\n".join(lines) + "\n")
     return EXIT_OK
@@ -348,8 +347,11 @@ def cmd_bound(args) -> int:
 def cmd_geom(args) -> int:
     rng = np.random.default_rng(args.seed)
     tag = Geometry(args.geometry)
+    try:
+        value = kappa(tag, args.n, args.lam)  # checks the dimension and edge bound
+    except GeometryError as e:
+        raise CliError(EXIT_INPUT, str(e)) from e
     if args.action == "kappa":
-        value = kappa(tag, args.n, args.lam)
         parameters = {"geometry": tag.value, "n": args.n, "lam": args.lam}
         _write_output(args, "geom kappa", {}, parameters, {"kappa": value})
         return EXIT_OK

@@ -2,8 +2,9 @@
 
 Top simplexes of the two complexes are intersected pairwise by successive
 half-space clipping (polygon clipping in 2D, vertex-graph polyhedron
-clipping in 3D).  Each clip vertex carries the set of defining hyperplanes,
-which is what reconstructs the face lattice of a cell.  Cells are glued
+clipping in 3D), in one loop for the plane and the torus (``_clip_tops``).
+Each clip vertex carries the set of defining hyperplanes, which is what
+reconstructs the face lattice of a cell.  Cells are glued
 into one polytopal complex through a quantised global vertex registry
 (points closer than MERGE_TOL are identified), and the barycentric
 subdivision of the result is a simplicial complex carrying every simplex
@@ -25,8 +26,8 @@ from typing import Optional
 import numpy as np
 
 from .complexes import Complex, Simplex
-from .geometry import GeomComplex, Geometry, torus_wrap
-from .subdivision import SubdividedComplex
+from .geometry import GeomComplex, Geometry, diameter, torus_wrap
+from .subdivision import SubdividedComplex, skeleton_counts
 
 MERGE_TOL = 1e-9
 MIN_MEASURE = 1e-12
@@ -196,18 +197,20 @@ def clip_simplex_pair(sub_pts: np.ndarray, halfspaces):
     return pts, labels
 
 
-def cell_measure(dim: int, pts: list[np.ndarray], faces_by_dim=None) -> float:
+def cell_measure(dim: int, pts: list[np.ndarray], lattice) -> float:
+    """Length, area or volume of a clipped cell; ``lattice`` is its
+    ``cell_face_lattice`` (the 3D case sums over its 2-faces)."""
     if len(pts) <= dim:
         return 0.0
     if dim == 1:
-        return float(abs(pts[1][0] - pts[0][0])) if len(pts) == 2 else 0.0
+        return float(abs(pts[1][0] - pts[0][0]))
     if dim == 2:
         arr = np.asarray(pts)
         x, y = arr[:, 0], arr[:, 1]
         return float(abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))) / 2)
     center = np.mean(np.asarray(pts), axis=0)
     vol = 0.0
-    for cyc in faces_by_dim[2]:
+    for cyc in lattice[2]:
         poly = [pts[i] for i in cyc]
         for i in range(1, len(poly) - 1):
             mat = np.stack([poly[0] - center, poly[i] - center, poly[i + 1] - center])
@@ -216,29 +219,25 @@ def cell_measure(dim: int, pts: list[np.ndarray], faces_by_dim=None) -> float:
 
 
 def _order_cycle(pts, idxs):
-    """Order vertex indices of a planar convex polygon into a cycle."""
+    """Order vertex indices of a planar convex polygon in 3D into a cycle."""
     arr = np.asarray([pts[i] for i in idxs])
-    center = arr.mean(axis=0)
-    rel = arr - center
-    if arr.shape[1] == 2:
-        ang = np.arctan2(rel[:, 1], rel[:, 0])
-    else:
-        _, _, vh = np.linalg.svd(rel)
-        u, v = vh[0], vh[1]
-        ang = np.arctan2(rel @ v, rel @ u)
-    order = np.argsort(ang)
+    rel = arr - arr.mean(axis=0)
+    _, _, vh = np.linalg.svd(rel)
+    order = np.argsort(np.arctan2(rel @ vh[1], rel @ vh[0]))
     cyc = [idxs[i] for i in order]
     # rotate so the lexicographically smallest index leads, fix orientation
     k = cyc.index(min(cyc))
     cyc = cyc[k:] + cyc[:k]
-    if len(cyc) > 2 and cyc[-1] < cyc[1]:
+    if cyc[-1] < cyc[1]:
         cyc = [cyc[0]] + cyc[1:][::-1]
     return cyc
 
 
 def cell_face_lattice(dim: int, pts, labels):
     """Local faces by dimension: 0-faces as singletons, 1-faces as index
-    pairs, 2-faces as ordered cycles.  Plane labels identify the facets."""
+    pairs, 2-faces as ordered cycles.  A 2D cell's points are a cycle as
+    clipped (Sutherland-Hodgman keeps the order); in 3D the plane labels
+    identify the facets."""
     n = len(pts)
     faces: dict[int, list[tuple]] = {0: [(i,) for i in range(n)]}
     if dim == 1:
@@ -247,9 +246,8 @@ def cell_face_lattice(dim: int, pts, labels):
         faces[1] = [tuple(range(n))]
         return faces
     if dim == 2:
-        cyc = _order_cycle(pts, list(range(n)))
-        faces[1] = [tuple(sorted((cyc[i], cyc[(i + 1) % n]))) for i in range(n)]
-        faces[2] = [tuple(cyc)]
+        faces[1] = [tuple(sorted((i, (i + 1) % n))) for i in range(n)]
+        faces[2] = [tuple(range(n))]
         return faces
     # dim == 3: facets from shared plane labels
     by_plane: dict[tuple, list[int]] = {}
@@ -281,27 +279,26 @@ def cell_face_lattice(dim: int, pts, labels):
 
 
 class _VertexRegistry:
-    """Quantised point-to-id map merging points closer than MERGE_TOL;
-    torus coordinates are wrapped into the fundamental domain first."""
+    """Point-to-id map merging points closer than MERGE_TOL, bucketed on a
+    MERGE_TOL grid; torus coordinates are wrapped into the fundamental
+    domain first, and the buckets wrap with them."""
 
     def __init__(self, period: Optional[float]):
         self.period = period
         self.grid: dict[tuple, list[int]] = {}
         self.coords: list[np.ndarray] = []
-        self.h = MERGE_TOL
-        self.ncells = int(round(period / self.h)) if period is not None else None
+        self.ncells = int(round(period / MERGE_TOL)) if period is not None else None
 
-    def _keys_near(self, x: np.ndarray):
-        base = np.floor(x / self.h).astype(int)
-        ranges = [range(b - 1, b + 2) for b in base]
+    def _key(self, bucket) -> tuple:
         if self.ncells is None:
-            return list(product(*ranges))
-        return [tuple(c % self.ncells for c in combo) for combo in product(*ranges)]
+            return tuple(bucket)
+        return tuple(c % self.ncells for c in bucket)
 
     def get_id(self, x: np.ndarray) -> int:
         x = torus_wrap(np.asarray(x, dtype=float), self.period)
-        for key in self._keys_near(x):
-            for vid in self.grid.get(key, ()):
+        base = np.floor(x / MERGE_TOL).astype(int)
+        for bucket in product(*(range(b - 1, b + 2) for b in base)):
+            for vid in self.grid.get(self._key(bucket), ()):
                 delta = np.abs(self.coords[vid] - x)
                 if self.period is not None:
                     delta = np.minimum(delta, self.period - delta)
@@ -309,10 +306,7 @@ class _VertexRegistry:
                     return vid
         vid = len(self.coords)
         self.coords.append(x)
-        key = tuple((np.floor(x / self.h).astype(int)))
-        if self.ncells is not None:
-            key = tuple(c % self.ncells for c in key)
-        self.grid.setdefault(key, []).append(vid)
+        self.grid.setdefault(self._key(base), []).append(vid)
         return vid
 
 
@@ -321,7 +315,6 @@ class ConvexCell:
     """A top-dimensional cell: global vertex ids (2-cells as an ordered
     cycle), its lift, the local face lattice, and where it came from."""
 
-    dim: int
     vertex_ids: tuple[int, ...]
     lift: np.ndarray
     faces_by_dim: dict
@@ -373,63 +366,90 @@ def _smallest_containing_face(simplex_abs: Simplex, chart: np.ndarray, pts) -> S
     return tuple(sorted(simplex_abs[i] for i in support))
 
 
-def _assemble(
-    raw_cells: list,
-    dim: int,
-    period: Optional[float],
-    k1: GeomComplex,
-    k2: GeomComplex,
-) -> PolytopalComplex:
+def _clip_tops(k1: GeomComplex, k2: GeomComplex, period: Optional[float]):
+    """Clip every top simplex of ``k2`` by every top simplex of ``k1``, in a
+    fixed order.  On the torus the subject is moved to the translate
+    nearest the clipper and clipped in all 3^d shifts of it, and a pair may
+    meet in one shift only; on the plane it is clipped as lifted.
+
+    Returns the positive-measure cells as (points, face lattice, (s1, s2),
+    measure, the two charts clipped with), and the ((s1, s2), measure) of
+    the zero-measure clips.
+    """
+    dim = k1.complex.dimension
+    if period is not None:
+        shifts = [np.array(c, dtype=float) * period - period
+                  for c in np.ndindex(*(3,) * dim)]
+    tops2 = []
+    for s2 in k2.complex.top_simplexes():
+        c2 = k2.lift(s2)
+        tops2.append((s2, c2, c2.mean(axis=0)))
+    cells, discarded = [], []
+    for s1 in k1.complex.top_simplexes():
+        c1 = k1.lift(s1)
+        a1 = c1.mean(axis=0)
+        halfspaces = simplex_halfspaces(c1)
+        for s2, c2, a2 in tops2:
+            if period is None:
+                subjects = (c2,)
+            else:
+                c2 = c2 + period * np.round((a1 - a2) / period)
+                subjects = (c2 + t for t in shifts)
+            hits = []
+            for chart2 in subjects:
+                pts, labels = clip_simplex_pair(chart2, halfspaces)
+                if not pts:
+                    continue
+                lattice = cell_face_lattice(dim, pts, labels) if len(pts) > dim else None
+                measure = cell_measure(dim, pts, lattice)
+                if measure >= MIN_MEASURE:
+                    hits.append((pts, lattice, (s1, s2), measure, (c1, chart2)))
+                else:
+                    discarded.append(((s1, s2), measure))
+            if len(hits) > 1:
+                raise IntersectionError(
+                    f"pair ({s1}, {s2}) meets in several translates; "
+                    "diameter precondition violated"
+                )
+            cells += hits
+    return cells, discarded
+
+
+def _assemble(cells: list, dim: int, period: Optional[float], discarded: list) -> PolytopalComplex:
     registry = _VertexRegistry(period)
-    cells: list[ConvexCell] = []
+    out: list[ConvexCell] = []
     faces: dict[tuple, FaceRec] = {}
-    discarded: list = []
-    for pts, labels, prov, measure in raw_cells:
-        if measure < MIN_MEASURE:
-            discarded.append((prov, measure))
-            continue
-        lattice = cell_face_lattice(dim, pts, labels)
+    for pts, lattice, prov, measure, charts in cells:
         vids = [registry.get_id(p) for p in pts]
         if len(set(vids)) != len(vids):
             raise IntersectionError(f"cell of pair {prov} collapsed under merging")
-        lift = np.asarray(pts)
-        chart1 = k1.lift(prov[0])
-        chart2 = k2.lift(prov[1])
-        # per-pair lifts may sit in different translates; re-anchor the cell
-        if period is not None:
-            anchor = lift.mean(axis=0)
-            chart1 = chart1 + period * np.round((anchor - chart1.mean(axis=0)) / period)
-            chart2 = chart2 + period * np.round((anchor - chart2.mean(axis=0)) / period)
         cell_vids = tuple(vids[i] for i in lattice[dim][0])
-        cells.append(
-            ConvexCell(dim, cell_vids, lift, lattice, prov, measure)
-        )
-        # carriers come from the first cell (in the fixed order) with the face;
-        # the smallest containing parent face is the same from every cell
+        out.append(ConvexCell(cell_vids, np.asarray(pts), lattice, prov, measure))
+        # carriers come from the first cell (in the fixed order) with the
+        # face, solved in the charts it was clipped with; the smallest
+        # containing parent face is the same from every cell.  A D-face's
+        # boundary is the (D-1)-faces with subset vids, from every cell.
         for d in range(dim + 1):
             for local in lattice[d]:
                 key = tuple(sorted(vids[i] for i in local))
-                if key not in faces:
+                rec = faces.get(key)
+                if rec is None:
                     fpts = [pts[i] for i in local]
-                    faces[key] = FaceRec(
+                    rec = faces[key] = FaceRec(
                         d,
                         key,
                         np.asarray(fpts),
-                        _smallest_containing_face(prov[0], chart1, fpts),
-                        _smallest_containing_face(prov[1], chart2, fpts),
+                        _smallest_containing_face(prov[0], charts[0], fpts),
+                        _smallest_containing_face(prov[1], charts[1], fpts),
                     )
-        # boundary containment: D-face contains (D-1)-faces with subset vids
-        for d in range(1, dim + 1):
-            for local in lattice[d]:
-                key = tuple(sorted(vids[i] for i in local))
                 lset = set(local)
-                for lower in lattice[d - 1]:
-                    if set(lower) <= lset:
-                        faces[key].boundary.add(
-                            tuple(sorted(vids[i] for i in lower))
-                        )
+                rec.boundary.update(
+                    tuple(sorted(vids[i] for i in lower))
+                    for lower in lattice.get(d - 1, ())
+                    if set(lower) <= lset
+                )
     vertices = {i: registry.coords[i] for i in range(len(registry.coords))}
-    return PolytopalComplex(dim, vertices, cells, faces, period, discarded)
+    return PolytopalComplex(dim, vertices, out, faces, period, discarded)
 
 
 # -- public operations -------------------------------------------------------
@@ -454,28 +474,11 @@ def intersect_linear(k1: GeomComplex, k2: GeomComplex) -> PolytopalComplex:
     region2 = sum(_top_measure(k2, s) for s in k2.complex.top_simplexes())
     if abs(region1 - region2) > 1e-6 * max(region1, region2):
         raise IntersectionError("the two complexes do not cover the same region")
-    tops2 = [(s2, k2.lift(s2)) for s2 in k2.complex.top_simplexes()]
-    raw = []
-    for s1 in k1.complex.top_simplexes():
-        halfspaces = simplex_halfspaces(k1.lift(s1))
-        for s2, c2 in tops2:
-            pts, labels = clip_simplex_pair(c2, halfspaces)
-            if not pts:
-                continue
-            lattice_measure = _measure_of(dim, pts, labels)
-            raw.append((pts, labels, (s1, s2), lattice_measure))
-    poly = _assemble(raw, dim, None, k1, k2)
+    cells, discarded = _clip_tops(k1, k2, None)
+    poly = _assemble(cells, dim, None, discarded)
     if abs(poly.total_measure() - region1) > 1e-6 * region1:
         raise IntersectionError("intersection cells do not conserve the region measure")
     return poly
-
-
-def _measure_of(dim, pts, labels):
-    if len(pts) <= dim:
-        return 0.0
-    if dim <= 2:
-        return cell_measure(dim, pts)
-    return cell_measure(dim, pts, cell_face_lattice(dim, pts, labels))
 
 
 def _top_measure(gk: GeomComplex, s: Simplex) -> float:
@@ -493,46 +496,16 @@ def torus_intersect(k1: GeomComplex, k2: GeomComplex) -> PolytopalComplex:
     dim = k1.complex.dimension
     if dim not in (1, 2):
         raise IntersectionError("torus intersection supports dimensions 1 and 2")
-    from .geometry import diameter as geom_diameter
-
     bound = period / 2  # 2 r(M) = inj(M) = period/2
     for gk in (k1, k2):
         for s in gk.complex.top_simplexes():
-            d = geom_diameter(gk.geom_simplex(s))
+            d = diameter(gk.geom_simplex(s))
             if d >= bound:
                 raise IntersectionError(
                     f"simplex {s} has diameter {d:.4f} >= 2 r(M) = {bound}"
                 )
-    shifts = [np.array(c, dtype=float) * period
-              for c in np.ndindex(*(3,) * dim)]
-    shifts = [s - period for s in shifts]
-    tops2 = []
-    for s2 in k2.complex.top_simplexes():
-        c2 = k2.lift(s2)
-        tops2.append((s2, c2, c2.mean(axis=0)))
-    raw = []
-    for s1 in k1.complex.top_simplexes():
-        c1 = k1.lift(s1)
-        a1 = c1.mean(axis=0)
-        halfspaces = simplex_halfspaces(c1)
-        for s2, c2, a2 in tops2:
-            c2 = c2 + period * np.round((a1 - a2) / period)
-            hits = []
-            for t in shifts:
-                pts, labels = clip_simplex_pair(c2 + t, halfspaces)
-                if pts:
-                    measure = _measure_of(dim, pts, labels)
-                    if measure >= MIN_MEASURE:
-                        hits.append((pts, labels, measure))
-            if len(hits) > 1:
-                raise IntersectionError(
-                    f"pair ({s1}, {s2}) meets in several translates; "
-                    "diameter precondition violated"
-                )
-            if hits:
-                pts, labels, measure = hits[0]
-                raw.append((pts, labels, (s1, s2), measure))
-    poly = _assemble(raw, dim, period, k1, k2)
+    cells, _ = _clip_tops(k1, k2, period)  # zero-measure clips are not recorded
+    poly = _assemble(cells, dim, period, [])
     region = period**dim
     if abs(poly.total_measure() - region) > 1e-6 * region:
         raise IntersectionError("torus cells do not conserve the region measure")
@@ -615,11 +588,7 @@ def commonsub_count_check(
     n = k1.complex.dimension
     p = k1.complex.f_vector()
     q = k2.complex.f_vector()
-    s = [0] * (n + 1)
-    for simp in common.complex.simplexes:
-        i = len(simp) - 1
-        if len(common.carrier1[simp]) - 1 == i:
-            s[i] += 1
+    s = skeleton_counts(common.as_subdivided(1))
     rows = []
     for i in range(n + 1):
         bound = commonsub_bound(n, i, p[i], q[n])

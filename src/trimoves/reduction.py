@@ -14,10 +14,9 @@ and validated move by move against the ambient complex.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import factorial
 from typing import Optional
 
-from .bounds import depth_m, reduction_sum_bound, bridge_sum_bound, mu, total_bound
+from .bounds import depth_m, reduction_level_bound, reduction_sum_bound, bridge_sum_bound, mu, total_bound
 from .complexes import Complex, Isomorphism, Simplex, WorkingComplex
 from .complexes import find_isomorphism  # noqa: F401  unused; perfbench's tracer patches it here
 from .geometry import GeomComplex, Geometry, geometric_barycentric, kappa
@@ -152,8 +151,7 @@ def alpha_to_beta(
             level_moves += len(mvs)
             moves.extend(mvs)
         trace.per_level_moves[r] = level_moves
-        p_entry = 1 if n - r - 1 == -1 else p[n - r - 1]
-        bound_r = factorial(n - r) * s_counts[r] * p_entry
+        bound_r = reduction_level_bound(n, r, p, s_counts[r])
         trace.per_level_bounds[r] = bound_r
         if level_moves > bound_r:
             raise ReductionError(

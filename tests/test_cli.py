@@ -1,7 +1,9 @@
 import json
+from decimal import Decimal
 
 import pytest
 
+from trimoves.bounds import total_bound
 from trimoves.cli import main
 from trimoves.fixtures import circle_complex, grid_torus_complex
 from trimoves.serialize import (
@@ -204,6 +206,23 @@ class TestBoundCli:
         inp.write_text(json.dumps({"geometry": "euclidean"}))
         assert main(["bound", "compute", "--input", str(inp)]) == 2
 
+    def test_bound_past_4300_digits(self, tmp_path):
+        # total_bound here has 4,330 digits, past the default limit of
+        # str(int) and int(str), so both sides go through Decimal
+        inp = tmp_path / "mfd.json"
+        inp.write_text(json.dumps({
+            "geometry": "hyperbolic", "n": 3, "lam": 1.5, "p": 20, "q": 30, "vol": 5.0,
+        }))
+        out = tmp_path / "report.json"
+        table = tmp_path / "report.txt"
+        assert main(["bound", "compute", "--input", str(inp), "--output", str(out),
+                     "--table", str(table)]) == 0
+        report = json.loads(out.read_text())["report"]
+        text = report["values"]["total_bound"]
+        assert len(text) > 4300
+        assert int(Decimal(text)) == total_bound(3, 20, 30, report["mprime"])
+        assert f"{'total_bound':24} {text}" in table.read_text().splitlines()
+
 
 class TestGeomCli:
     def test_kappa(self, capsys):
@@ -232,6 +251,28 @@ class TestGeomCli:
                          "spherical", "--n", "2", "--lam", "1.0", "--count", "3",
                          "--csv", str(path)]) == 0
         assert a.read_text() == b.read_text()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["geom", "kappa", "--geometry", "euclidean", "--n", "0"],
+         "dimension must be at least 1"),
+        (["geom", "kappa", "--geometry", "spherical", "--lam", "2.0"],
+         "spherical edge bound must be at most pi/2"),
+        (["geom", "scaling-table", "--geometry", "spherical", "--lam", "2.0"],
+         "spherical edge bound must be at most pi/2"),
+        (["geom", "centroid-check", "--geometry", "hyperbolic", "--lam", "-1"],
+         "edge bound must be positive"),
+        (["geom", "scaling-table", "--geometry", "euclidean", "--n", "0"],
+         "dimension must be at least 1"),
+    ],
+)
+def test_bad_geom_arguments_exit_2(argv, message, capsys):
+    # the dimension and edge bound are checked once, by kappa, before any
+    # sampling: an input error with kappa's message
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

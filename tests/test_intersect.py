@@ -189,6 +189,73 @@ class TestCarriersOncePerFace:
         assert len(calls) == 2 * len(poly.faces) == 360
 
 
+class TestDiscarded:
+    """Zero-measure clips are recorded on the plane and dropped on the torus."""
+
+    def test_plane_records_touching_pairs(self):
+        # the two triangles of the square meet along the diagonal only
+        k1, _ = square_pair()
+        poly = intersect_linear(k1, k1)
+        assert poly.discarded == [
+            (((0, 1, 2), (0, 2, 3)), 0.0),
+            (((0, 2, 3), (0, 1, 2)), 0.0),
+        ]
+
+    def test_torus_records_none(self, monkeypatch):
+        import trimoves.intersect as intersect_mod
+
+        nonempty = []
+        real = intersect_mod.clip_simplex_pair
+
+        def counting(sub_pts, halfspaces):
+            pts, labels = real(sub_pts, halfspaces)
+            if pts:
+                nonempty.append(1)
+            return pts, labels
+
+        monkeypatch.setattr(intersect_mod, "clip_simplex_pair", counting)
+        k = grid_torus_complex(3)
+        poly = torus_intersect(k, k)
+        # identical grids touch along edges and at vertices in many pairs
+        assert len(nonempty) > len(poly.cells) == 18
+        assert poly.discarded == []
+
+
+class TestCellCycles:
+    """A 2D cell's points are stored as a convex cycle, in clip order."""
+
+    @staticmethod
+    def _polys():
+        yield torus_intersect(
+            grid_torus_complex(3), grid_torus_complex(3, shift=(1 / 6, 1 / 6))
+        )
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            yield intersect_linear(*random_chart_pair(rng))
+
+    def test_convex_cycle_in_stored_order(self):
+        from scipy.spatial import ConvexHull
+
+        cells = 0
+        for poly in self._polys():
+            for cell in poly.cells:
+                pts = cell.lift
+                n = len(pts)
+                assert cell.faces_by_dim[2] == [tuple(range(n))]
+                edges = [pts[(i + 1) % n] - pts[i] for i in range(n)]
+                turns = [
+                    edges[i][0] * edges[(i + 1) % n][1] - edges[i][1] * edges[(i + 1) % n][0]
+                    for i in range(n)
+                ]
+                assert all(t > 0 for t in turns) or all(t < 0 for t in turns)
+                x, y = pts[:, 0], pts[:, 1]
+                shoelace = abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))) / 2
+                assert shoelace == pytest.approx(cell.measure, rel=1e-12)
+                assert ConvexHull(pts).volume == pytest.approx(cell.measure, rel=1e-9)
+                cells += 1
+        assert cells > 100
+
+
 class TestBarycentricPolytopal:
     def test_single_triangle_cell(self):
         tri = GeomComplex(
