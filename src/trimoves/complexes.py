@@ -189,18 +189,38 @@ class Complex:
 
     # -- structure tests -------------------------------------------------
 
+    def _tops(self) -> list[Simplex]:
+        """The top simplexes, unsorted."""
+        size = self._dim + 1
+        return [s for s in self._simplexes if len(s) == size]
+
+    def _covered_by(self, tops: list[Simplex]) -> bool:
+        """Whether every simplex is one of ``tops`` or a proper face of one.
+        The set is downward-closed, so this holds exactly when the distinct
+        proper faces of the tops and the tops number as many as the
+        simplexes."""
+        proper: set[Simplex] = set()
+        for j in range(1, self._dim + 1):
+            for t in tops:
+                proper.update(combinations(t, j))
+        return len(proper) + len(tops) == len(self._simplexes)
+
     def is_pure(self) -> bool:
-        n = self._dim
-        return all(len(m) - 1 == n for m in self.maximal_simplexes())
+        """Every maximal simplex has the top dimension."""
+        return self._covered_by(self._tops())
 
     def is_closed_pseudomanifold(self) -> bool:
         """Pure, every ridge in exactly two tops, strongly connected."""
-        if self._dim < 1 or not self._simplexes:
+        n = self._dim
+        if n < 1:
             return False
-        tops = self.top_simplexes()
-        if not self.is_pure():
+        tops = self._tops()
+        if not self._covered_by(tops):
             return False
-        ridge_tops = _ridge_tops(tops)
+        ridge_tops: dict[Simplex, list[Simplex]] = {}
+        for t in tops:
+            for r in combinations(t, n):
+                ridge_tops.setdefault(r, []).append(t)
         if any(len(ts) != 2 for ts in ridge_tops.values()):
             return False
         # strong connectivity through ridges
@@ -208,7 +228,7 @@ class Complex:
         stack = [tops[0]]
         while stack:
             t = stack.pop()
-            for r in facets(t):
+            for r in combinations(t, n):
                 for u in ridge_tops[r]:
                     if u not in seen:
                         seen.add(u)

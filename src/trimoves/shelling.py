@@ -10,11 +10,12 @@ backwards turning each shed (A, B) into the move κ(A, apex ⋆ B).
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .complexes import Complex, Simplex, WorkingComplex, faces, facets, proper_faces
+from .complexes import Complex, Simplex, WorkingComplex, faces, facets
 from .pachner import (
     MoveError,
     MoveSequence,
@@ -68,9 +69,12 @@ class _BallState:
     """Top-simplex set of a residual ball with an incrementally maintained
     boundary, supporting apply/undo of elementary shellings.
 
-    Membership of a face in ∂M is tested against the current boundary
-    ridges (a face is in ∂M iff some boundary ridge contains it), which is
-    all the shelling conditions need.
+    ∂M is the closure of the boundary ridges, the ridges in exactly one top
+    simplex.  ``bd_faces`` maps each nonempty face of a boundary ridge to
+    the number of boundary ridges that contain it, so a face f lies in ∂M
+    exactly when ``f in bd_faces``.  ``_bd_add`` and ``_bd_remove`` keep the
+    counts; both do nothing when the ridge is already in (or out of) the
+    boundary.
     """
 
     def __init__(self, ball: Complex):
@@ -87,49 +91,51 @@ class _BallState:
                 self.top_byvertex.setdefault(v, set()).add(t)
         if any(len(ts) > 2 for ts in self.ridge_tops.values()):
             raise ValueError("ridge in more than two top simplexes")
-        self.bd_ridges: set[Simplex] = {
-            r for r, ts in self.ridge_tops.items() if len(ts) == 1
-        }
-        self.bd_byvertex: dict[int, set[Simplex]] = {}
-        for r in self.bd_ridges:
-            for v in r:
-                self.bd_byvertex.setdefault(v, set()).add(r)
-
-    def in_boundary(self, f: Simplex) -> bool:
-        buckets = [self.bd_byvertex.get(v) for v in f]
-        if any(b is None for b in buckets):
-            return False
-        smallest = min(buckets, key=len)
-        fs = set(f)
-        return any(fs <= set(r) for r in smallest)
+        self.bd_ridges: set[Simplex] = set()
+        self.bd_faces: dict[Simplex, int] = {}
+        for r, ts in self.ridge_tops.items():
+            if len(ts) == 1:
+                self._bd_add(r)
 
     def _bd_add(self, r: Simplex) -> None:
+        if r in self.bd_ridges:
+            return
         self.bd_ridges.add(r)
-        for v in r:
-            self.bd_byvertex.setdefault(v, set()).add(r)
+        counts = self.bd_faces
+        for f in faces(r):
+            counts[f] = counts.get(f, 0) + 1
 
     def _bd_remove(self, r: Simplex) -> None:
-        self.bd_ridges.discard(r)
-        for v in r:
-            bucket = self.bd_byvertex.get(v)
-            if bucket is not None:
-                bucket.discard(r)
-                if not bucket:
-                    del self.bd_byvertex[v]
+        if r not in self.bd_ridges:
+            return
+        self.bd_ridges.remove(r)
+        counts = self.bd_faces
+        for f in faces(r):
+            if counts[f] == 1:
+                del counts[f]
+            else:
+                counts[f] -= 1
 
     def step_is_valid(self, a: Simplex, b: Simplex) -> bool:
-        """Check A ∩ ∂M = ∂A and B ⋆ ∂A ⊆ ∂M against the current state."""
-        if self.in_boundary(a):
+        """Check A ∩ ∂M = ∂A and B ⋆ ∂A ⊆ ∂M against the current state, for
+        the top t = A ⋆ B with A nonempty and sorted (as every caller builds
+        it).
+
+        This is: A ∉ ∂M and t∖{x} is a boundary ridge for every x ∈ A.
+        - B ⋆ ∂A is generated by the ridges t∖{x}, x ∈ A, so it lies in ∂M
+          exactly when they do.
+        - A face with as many vertices as a ridge lies in ∂M only when it is
+          itself a boundary ridge.
+        - Every proper face of A lies in some t∖{x}, so it lies in ∂M.
+        """
+        if a in self.bd_faces:
             return False
-        for f in proper_faces(a):
-            if not self.in_boundary(f):
+        t = tuple(sorted(a + b))
+        bd = self.bd_ridges
+        for x in a:
+            i = t.index(x)
+            if t[:i] + t[i + 1 :] not in bd:
                 return False
-        a_proper = list(proper_faces(a)) + [()]
-        for bp in faces(b):
-            for ap in a_proper:
-                f = tuple(sorted(bp + ap))
-                if not self.in_boundary(f):
-                    return False
         return True
 
     def first_valid_step(self, t: Simplex) -> Optional[ShellingStep]:
@@ -213,8 +219,6 @@ def _greedy_shelling(state: _BallState) -> Optional[Shelling]:
     for dimension <= 2 never happens (2-balls are extendably shellable);
     callers fall back to the complete search.
     """
-    import heapq
-
     heap: list[Simplex] = []
     seen_push: set[Simplex] = set()
 
@@ -268,7 +272,8 @@ def find_shelling(
     None is a certificate of non-shellability; hitting the node cap raises
     SearchCapExceeded instead ("undecided"), never a false negative.
     """
-    if len(ball.top_simplexes()) > 1:
+    # the empty complex has an empty f-vector; it is rejected below
+    if ball.simplexes and ball.f_vector()[-1] > 1:
         greedy = _greedy_shelling(_BallState(ball))
         if greedy is not None:
             return greedy

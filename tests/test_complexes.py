@@ -16,6 +16,7 @@ from trimoves.complexes import (
     join,
 )
 from trimoves.fixtures import grid_torus_complex, random_closed_surface
+from trimoves.subdivision import barycentric
 
 
 def boundary_delta3():
@@ -179,6 +180,87 @@ class TestInvariants:
                 p(pk, i) * p(pl, kk - 1 - i) for i in range(-1, kk + 1)
             ) + p(pk, kk) + p(pl, kk)
             assert j.f_vector()[kk] == expected
+
+
+def literal_pure(k: Complex) -> bool:
+    """Every maximal simplex (one in no larger simplex) has the top dimension."""
+    sets = [set(s) for s in k.simplexes]
+    maximal = [s for s in sets if not any(s < u for u in sets)]
+    return all(len(m) - 1 == k.dimension for m in maximal)
+
+
+def literal_closed_pseudomanifold(k: Complex) -> bool:
+    """Pure of dimension at least 1, every ridge in exactly two tops, and the
+    tops connected through shared ridges."""
+    n = k.dimension
+    if n < 1 or not literal_pure(k):
+        return False
+    tops = [set(t) for t in k.simplexes_of_dim(n)]
+    if any(sum(set(r) < t for t in tops) != 2 for r in k.simplexes_of_dim(n - 1)):
+        return False
+    reached = [0]
+    for i in reached:
+        for j, u in enumerate(tops):
+            if j not in reached and len(tops[i] & u) == n:
+                reached.append(j)
+    return len(reached) == len(tops)
+
+
+def relabelled(k: Complex, offset: int) -> Complex:
+    return Complex({tuple(v + offset for v in s) for s in k.simplexes}, _assume_closed=True)
+
+
+DEGENERATE = {
+    # name: (complex, pure, closed pseudomanifold)
+    "surface+dangling edge": (
+        Complex(octahedron().simplexes | close_under_faces([(1, 9)]).simplexes), False, False
+    ),
+    "surface+isolated vertex": (Complex(octahedron().simplexes | {(9,)}), False, False),
+    "two disjoint spheres": (
+        Complex(boundary_delta3().simplexes | relabelled(boundary_delta3(), 4).simplexes),
+        True,
+        False,
+    ),
+    "two spheres on a vertex": (
+        Complex(boundary_delta3().simplexes | relabelled(boundary_delta3(), 3).simplexes),
+        True,
+        False,
+    ),
+    "three triangles on an edge": (
+        close_under_faces([(1, 2, 3), (1, 2, 4), (1, 2, 5)]), True, False
+    ),
+    "boundary of the 4-simplex": (
+        close_under_faces(itertools.combinations(range(5), 4)), True, True
+    ),
+    "single vertex": (close_under_faces([(1,)]), True, False),
+    "empty": (Complex.empty(), True, False),
+}
+
+
+class TestPurityCount:
+    """``is_pure`` and ``is_closed_pseudomanifold`` decide purity by counting
+    faces; both must agree with the literal definitions."""
+
+    @pytest.mark.parametrize("name", sorted(DEGENERATE))
+    def test_degenerate_inputs(self, name):
+        k, pure, closed = DEGENERATE[name]
+        assert (literal_pure(k), literal_closed_pseudomanifold(k)) == (pure, closed)
+        assert k.is_pure() == pure
+        assert k.is_closed_pseudomanifold() == closed
+
+    def test_random_surfaces(self):
+        # each seeded surface, its first derived subdivision, and the
+        # surface less one triangle (pure with a boundary)
+        rng = random.Random(11)
+        for _ in range(30):
+            k = random_closed_surface(rng, rng.randint(2, 8))
+            beta = barycentric(k).complex
+            punctured = Complex(k.simplexes - {k.top_simplexes()[0]}, _assume_closed=True)
+            for c in (k, beta, punctured):
+                assert (c.is_pure(), c.is_closed_pseudomanifold()) == (
+                    literal_pure(c),
+                    literal_closed_pseudomanifold(c),
+                )
 
 
 class TestIsomorphism:

@@ -1,3 +1,8 @@
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,6 +24,8 @@ from trimoves.subdivision import (
     skeleton_counts,
 )
 from .test_complexes import boundary_delta3
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 class TestAlphaToBeta:
@@ -299,3 +306,33 @@ class TestRelate:
             "bd46a5a18675169baff8f0da2533f6ee13eae6ab722bf127fdbe8d25e2629c2a"
         )
         assert len(res.sequence) == 4848
+
+
+# sha256 of each case's serialised output (sequence and trace) at the default
+# seed.  reference.json pins digests and move count, which every valid
+# shelling leaves the same (the result is the cone on the ball's boundary,
+# one move per top simplex); the sequence itself pins the shelling order.
+SPHERE_REDUCE_SHA = {
+    "surface0-m1": "f0a3da9500f041b54bab8d204306ecbe7c4cf2cd2cf330916ac7c6514fb674d3",
+    "surface0-m2": "4092f250ec6d4a80ef160b6623fc84371d62fb383217c1d45627f89df9b10402",
+    "sphere3-m1": "9d4200a1afe45cb793792a6adc0820f623c03c0b54cffd4ee7d32a06e151dba9",
+}
+
+
+@pytest.mark.parametrize("label", sorted(SPHERE_REDUCE_SHA))
+def test_sphere_reduce_matches_benchmark_reference(monkeypatch, label):
+    # a change to the step predicate or the greedy order that changes any
+    # shelling fails here
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    bench = workloads.SphereReduce()
+    (case,) = [c for c in bench.generate(workloads.DEFAULT_SEED) if c.label == label]
+    out = bench.run(case)
+    bench.check(case, out)
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    assert [out.start, out.end, out.moves] == reference[bench.name][label]
+    assert out.sha == SPHERE_REDUCE_SHA[label]

@@ -1,12 +1,16 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
+from trimoves import reduction
 from trimoves.complexes import Complex, close_under_faces, cone
+from trimoves.fixtures import random_closed_surface
 from trimoves.pachner import SearchCapExceeded, apply_sequence
 from trimoves.shelling import (
     ShellingError,
+    _BallState,
     boundary_complex,
     elementary_shellings,
     find_shelling,
@@ -14,8 +18,35 @@ from trimoves.shelling import (
     star_via_shelling,
     verify_shelling,
 )
-from trimoves.subdivision import barycentric
+from trimoves.subdivision import barycentric, iterated_barycentric
 from .test_complexes import boundary_delta3
+
+
+def nonempty_subsets(s):
+    return [f for r in range(1, len(s) + 1) for f in itertools.combinations(s, r)]
+
+
+def splits(t):
+    """Every (A, B) with A nonempty and A ⋆ B = t."""
+    return [(a, tuple(v for v in t if v not in a)) for a in nonempty_subsets(t)]
+
+
+def literal_boundary(tops) -> set:
+    """∂M recomputed from the tops of M: every nonempty face of a ridge that
+    lies in exactly one top."""
+    counts = Counter(r for t in tops for r in itertools.combinations(t, len(t) - 1))
+    return {f for r, c in counts.items() if c == 1 for f in nonempty_subsets(r)}
+
+
+def literal_step_is_valid(bd, a, b) -> bool:
+    """Oracle for shedding A ⋆ B: A ∩ ∂M = ∂A and B ⋆ ∂A ⊆ ∂M, face by face."""
+    faces_a = nonempty_subsets(a)
+    if not all((f in bd) == (f != a) for f in faces_a):
+        return False
+    boundary_a = [()] + [f for f in faces_a if f != a]
+    return all(
+        tuple(sorted(bp + ap)) in bd for bp in nonempty_subsets(b) for ap in boundary_a
+    )
 
 
 def two_triangles():
@@ -49,34 +80,13 @@ class TestElementarySteps:
     def test_two_triangles_enumeration_matches_conditions(self):
         k = two_triangles()
         steps = elementary_shellings(k)
-        # oracle: check the two boundary conditions directly per candidate
-        bd = boundary_complex(k)
-        expected = []
-        for t in k.top_simplexes():
-            for size in range(1, 3):
-                for a in itertools.combinations(t, size):
-                    b = tuple(v for v in t if v not in a)
-                    faces_a = [
-                        f
-                        for r in range(1, len(a) + 1)
-                        for f in itertools.combinations(a, r)
-                    ]
-                    cond1 = all((f in bd) == (f != a) for f in faces_a)
-                    join_fb = {
-                        tuple(sorted(bp + ap))
-                        for bp in itertools.chain.from_iterable(
-                            itertools.combinations(b, r) for r in range(1, len(b) + 1)
-                        )
-                        for ap in [()]
-                        + [
-                            f
-                            for r in range(1, len(a))
-                            for f in itertools.combinations(a, r)
-                        ]
-                    }
-                    cond2 = all(f in bd for f in join_fb)
-                    if cond1 and cond2:
-                        expected.append((a, b))
+        bd = literal_boundary(k.top_simplexes())
+        expected = [
+            (a, b)
+            for t in k.top_simplexes()
+            for a, b in splits(t)
+            if b and literal_step_is_valid(bd, a, b)
+        ]
         assert {(s.a, s.b) for s in steps} == set(expected)
         assert (( 1, 2), (4,)) in {(s.a, s.b) for s in steps}
 
@@ -88,6 +98,60 @@ class TestElementarySteps:
         bd_vertices = {x for (x,) in boundary_complex(sub.complex).simplexes_of_dim(0)}
         for s in steps:
             assert set(s.top) & bd_vertices
+
+
+def reduction_balls(monkeypatch) -> list[Complex]:
+    """Every star neighbourhood S(A) that alpha_to_beta shells on β² of two
+    seeded random surfaces and on β¹ of ∂Δ⁴."""
+    balls = []
+    real = reduction.find_shelling
+
+    def spy(ball, **kwargs):
+        balls.append(ball)
+        return real(ball, **kwargs)
+
+    monkeypatch.setattr(reduction, "find_shelling", spy)
+    rng = random.Random(7)
+    parents = [(random_closed_surface(rng, 3), 2) for _ in range(2)]
+    parents.append((close_under_faces(itertools.combinations(range(5), 4)), 1))
+    for k, m in parents:
+        reduction.alpha_to_beta(k, iterated_barycentric(k, m))
+    return balls
+
+
+def assert_counts_match(state: _BallState) -> None:
+    recount = Counter(f for r in state.bd_ridges for f in nonempty_subsets(r))
+    assert state.bd_faces == recount
+
+
+def test_step_predicate_matches_oracle_along_shellings(monkeypatch):
+    # at every state of each greedy shelling, the lookup form of the step
+    # test equals the face-by-face definition on every split of every top;
+    # applying and undoing every candidate step (the DFS's moves) keeps the
+    # boundary-face counts equal to a recount
+    balls = reduction_balls(monkeypatch)
+    assert {ball.dimension for ball in balls} == {2, 3}
+    for ball in balls:
+        shelling = find_shelling(ball)
+        state = _BallState(ball)
+        for step in shelling.steps + (None,):
+            bd = literal_boundary(state.tops)
+            assert state.bd_ridges == {f for f in bd if len(f) == state.n}
+            assert_counts_match(state)
+            for t in state.tops:
+                for a, b in splits(t):
+                    assert state.step_is_valid(a, b) == literal_step_is_valid(bd, a, b), (t, a)
+            if step is None:
+                break
+            for candidate in state.candidate_steps():
+                before = dict(state.bd_faces)
+                undo = state.apply(candidate)
+                assert_counts_match(state)
+                state.undo(undo)
+                assert_counts_match(state)
+                assert state.bd_faces == before
+            state.apply(step)
+        assert state.tops == {shelling.final}
 
 
 class TestFindShelling:
