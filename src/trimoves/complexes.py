@@ -1,18 +1,19 @@
 """Abstract simplicial complexes with canonical vertex-tuple simplexes.
 
 A simplex is a strictly increasing tuple of non-negative integer vertex
-labels.  A complex stores its full downward-closed simplex set, so links,
-stars and move predicates are plain set lookups.  Complexes are immutable
-values; every operation returns a new one.  ``WorkingComplex`` is the
-mutable mirror used by long move replays.
+labels.  A ``Complex`` is an immutable value holding its full
+downward-closed simplex set, so links, stars and equality are plain set
+operations; every operation returns a new one.  ``WorkingComplex``, the
+mutable complex that moves are applied to, holds the maximal simplexes
+and, for every face, the number of maximal simplexes containing it.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 from dataclasses import dataclass
-from itertools import combinations, permutations
-from typing import Iterable, Iterator, Optional
+from itertools import chain, combinations, permutations, repeat
+from typing import Collection, Iterable, Iterator, Optional
 
 Vertex = int
 Simplex = tuple[int, ...]
@@ -32,8 +33,7 @@ def simplex(vertices: Iterable[int]) -> Simplex:
 
 def faces(s: Simplex) -> Iterator[Simplex]:
     """All nonempty faces of ``s``, including ``s`` itself."""
-    for k in range(1, len(s) + 1):
-        yield from combinations(s, k)
+    return chain.from_iterable(map(combinations, repeat(s), range(1, len(s) + 1)))
 
 
 def proper_faces(s: Simplex) -> Iterator[Simplex]:
@@ -43,8 +43,7 @@ def proper_faces(s: Simplex) -> Iterator[Simplex]:
 
 def facets(s: Simplex) -> Iterator[Simplex]:
     """Codimension-one faces of ``s``."""
-    if len(s) > 1:
-        yield from combinations(s, len(s) - 1)
+    return combinations(s, len(s) - 1) if len(s) > 1 else iter(())
 
 
 class Complex:
@@ -128,7 +127,9 @@ class Complex:
         """Simplexes not properly contained in any other simplex.  The set is
         downward-closed, so these are exactly the simplexes that are no
         simplex's facet."""
-        covered = {f for s in self._simplexes for f in facets(s)}
+        covered: set[Simplex] = set()
+        for s in self._simplexes:
+            covered.update(combinations(s, len(s) - 1))
         return sorted(self._simplexes - covered)
 
     def f_vector(self) -> tuple[int, ...]:
@@ -217,10 +218,7 @@ class Complex:
         tops = self._tops()
         if not self._covered_by(tops):
             return False
-        ridge_tops: dict[Simplex, list[Simplex]] = {}
-        for t in tops:
-            for r in combinations(t, n):
-                ridge_tops.setdefault(r, []).append(t)
+        ridge_tops = _ridge_tops(tops)
         if any(len(ts) != 2 for ts in ridge_tops.values()):
             return False
         # strong connectivity through ridges
@@ -427,6 +425,19 @@ def isomorphism_signature(k: Complex) -> tuple[Simplex, ...]:
 
     The domain is the pure, strongly connected complexes whose ridges each
     lie in at most two top simplexes; any other input raises ValueError.
+    The signature is ``tops_signature`` of the top simplexes.
+    """
+    tops = k.top_simplexes()
+    if not tops or not k.is_pure():
+        raise ValueError("isomorphism signature needs a nonempty pure complex")
+    return tops_signature(tops)
+
+
+def tops_signature(tops: Collection[Simplex]) -> tuple[Simplex, ...]:
+    """``isomorphism_signature`` of the pure complex with top simplexes
+    ``tops``; ValueError when a ridge lies in more than two of them or they
+    are not strongly connected.
+
     A start is one top simplex with one ordering of its vertices.  It labels
     those vertices 0..n in that order, then walks the tops breadth-first
     across ridges, taking the facets of each top opposite its vertices in
@@ -435,9 +446,6 @@ def isomorphism_signature(k: Complex) -> tuple[Simplex, ...]:
     whose vertex-degree sequence is least are tried; that choice commutes
     with isomorphisms, so the signature stays complete.
     """
-    tops = k.top_simplexes()
-    if not tops or not k.is_pure():
-        raise ValueError("isomorphism signature needs a nonempty pure complex")
     # across[t][v] = (u, w): u is the top across the facet of t opposite v,
     # and w is the vertex of u off that facet
     across: dict[Simplex, dict[int, tuple[Simplex, int]]] = {t: {} for t in tops}
@@ -482,69 +490,72 @@ def isomorphism_signature(k: Complex) -> tuple[Simplex, ...]:
     return best
 
 
-# -- mutable mirror ---------------------------------------------------------
+# -- mutable complex -------------------------------------------------------
 
 
 class WorkingComplex:
-    """Mutable simplex set with a vertex incidence index.
+    """Mutable complex stored as its maximal simplexes with face counts,
+    after the maximal-simplex representation of Boissonnat, Karthik C. S.
+    and Tavenas (Algorithmica 2017).
 
-    Long move replays mutate this in place; ``snapshot`` freezes the
-    current state back into a ``Complex``.
+    ``count[f]`` is the number of maximal simplexes containing the face f,
+    so its keys are exactly the simplexes of the complex, each with a count
+    of at least one.  ``maximal_at[v]`` holds the maximal simplexes through
+    the vertex v and serves link queries.  Moves mutate the complex in place
+    through ``replace``; ``snapshot`` freezes it back into a ``Complex``.
     """
 
-    __slots__ = ("simplexes", "byvertex", "next_label")
+    __slots__ = ("count", "maximal_at", "next_label")
 
     def __init__(self, k: Complex, *, reserve_above: int = -1):
-        self.simplexes: set[Simplex] = set(k.simplexes)
-        self.byvertex: dict[int, set[Simplex]] = {}
-        for s in self.simplexes:
-            for v in s:
-                self.byvertex.setdefault(v, set()).add(s)
+        self.count: dict[Simplex, int] = {}
+        self.maximal_at: dict[int, set[Simplex]] = {}
+        self.replace((), k.maximal_simplexes())
         self.next_label = max(k.max_label(), reserve_above) + 1
 
     def __contains__(self, s) -> bool:
-        return s in self.simplexes
+        return s in self.count
 
     def __len__(self) -> int:
-        return len(self.simplexes)
+        return len(self.count)
 
     def fresh_label(self) -> int:
         v = self.next_label
         self.next_label += 1
         return v
 
-    def add(self, s: Simplex) -> None:
-        if s not in self.simplexes:
-            self.simplexes.add(s)
-            for v in s:
-                self.byvertex.setdefault(v, set()).add(s)
-
-    def discard(self, s: Simplex) -> None:
-        if s in self.simplexes:
-            self.simplexes.discard(s)
-            for v in s:
-                bucket = self.byvertex[v]
-                bucket.discard(s)
-                if not bucket:
-                    del self.byvertex[v]
-
-    def cofaces(self, a: Simplex) -> set[Simplex]:
-        try:
-            sets = sorted((self.byvertex[v] for v in a), key=len)
-        except KeyError:
-            return set()
-        out = set(sets[0])
-        for s in sets[1:]:
-            out &= s
-        return out
+    def replace(self, removed: Iterable[Simplex], added: Iterable[Simplex]) -> None:
+        """Drop the maximal simplexes ``removed``, then add ``added``, which
+        the caller guarantees are maximal in the result."""
+        count = self.count
+        at = self.maximal_at
+        for t in removed:
+            for f in faces(t):
+                c = count[f]
+                if c == 1:
+                    del count[f]
+                else:
+                    count[f] = c - 1
+            for v in t:
+                at[v].discard(t)
+        for t in added:
+            for f in faces(t):
+                count[f] = count.get(f, 0) + 1
+            for v in t:
+                if v in at:
+                    at[v].add(t)
+                else:
+                    at[v] = {t}
 
     def link_simplexes(self, a: Simplex) -> set[Simplex]:
+        """lk(a) as a simplex set: the nonempty faces of m ∖ a over the
+        maximal simplexes m containing a."""
         av = set(a)
-        return {
-            tuple(v for v in c if v not in av)
-            for c in self.cofaces(a)
-            if len(c) > len(a)
-        }
+        out: set[Simplex] = set()
+        for m in min((self.maximal_at.get(v, ()) for v in a), key=len):
+            if av.issubset(m):
+                out.update(faces(tuple(v for v in m if v not in av)))
+        return out
 
     def snapshot(self) -> Complex:
-        return Complex(frozenset(self.simplexes), _assume_closed=True)
+        return Complex(frozenset(self.count), _assume_closed=True)

@@ -18,7 +18,7 @@ from .complexes import (
     Simplex,
     WorkingComplex,
     isomorphism_signature,
-    proper_faces,
+    tops_signature,
 )
 from .complexes import find_isomorphism  # noqa: F401  unused; perfbench's tracer patches it here
 
@@ -86,62 +86,54 @@ def applicable(k: Complex, a: Simplex) -> Optional[Simplex]:
     """
     if a not in k:
         raise KeyError(f"simplex {a} not in complex")
-    n = k.dimension
-    r = len(a) - 1
-    lk = k.link(a).simplexes
-    if r == n:
-        if lk:
-            return None
-        return (k.max_label() + 1,)
-    verts = sorted({v for s in lk for v in s})
-    if len(verts) != n - r + 1:
-        return None
-    b = tuple(verts)
-    if lk != frozenset(proper_faces(b)):
-        return None
-    if b in k:
-        return None
-    return b
+    return next((m.b for m in enumerate_moves(k) if m.a == a), None)
 
 
-def move_delta(move: PachnerMove) -> tuple[set[Simplex], set[Simplex]]:
-    """(removed, added) simplex sets of κ(a, b): the faces of a ⋆ b
-    containing a, and those containing b."""
+def move_tops(move: PachnerMove) -> tuple[list[Simplex], list[Simplex]]:
+    """(removed, added) maximal simplexes of κ(a, b): a ⋆ (b ∖ {x}) for each
+    x ∈ b, and b ⋆ (a ∖ {y}) for each y ∈ a."""
     a, b = move.a, move.b
-    removed = {tuple(sorted(a + bp)) for bp in _subsets_with_empty(b) if bp != b}
-    added = {tuple(sorted(b + ap)) for ap in _subsets_with_empty(a) if ap != a}
+    removed = [tuple(sorted(a + f)) for f in combinations(b, len(b) - 1)]
+    added = [tuple(sorted(b + f)) for f in combinations(a, len(a) - 1)]
     return removed, added
 
 
-def _subsets_with_empty(s: Simplex) -> Iterable[Simplex]:
-    for k in range(len(s) + 1):
-        yield from combinations(s, k)
+def check_applicable(
+    work: WorkingComplex, move: PachnerMove, n: int
+) -> tuple[list[Simplex], list[Simplex]]:
+    """Raise MoveError unless κ(a, b) applies to the working complex;
+    return its ``move_tops``.
 
-
-def check_applicable(work: WorkingComplex, move: PachnerMove, n: int) -> None:
-    """Raise MoveError unless κ(a, b) applies to the working complex."""
+    Past the dimension check this takes |b| + 2 face-count lookups: a is
+    present with count[a] = |b|, b is absent, and each a ⋆ (b ∖ {x}) is
+    present.  Then lk(a) = ∂b: each a ⋆ (b ∖ {x}) has n + 1 vertices, so it
+    is maximal, and count[a] = |b| says these |b| are all the maximal
+    simplexes containing a, so lk(a) is the closure of the sets b ∖ {x},
+    which is ∂b.  Conversely lk(a) = ∂b gives exactly these maximal
+    simplexes through a.  Nothing here assumes the complex is pure.
+    """
     a, b = move.a, move.b
     if (len(a) - 1) + (len(b) - 1) != n:
         raise MoveError(f"dim {a} + dim {b} != {n}")
-    if a not in work:
+    count = work.count
+    through_a = count.get(a, 0)
+    if not through_a:
         raise MoveError(f"move simplex {a} absent")
-    if b in work:
+    if b in count:
         raise MoveError(f"inserted simplex {b} already present")
-    if work.link_simplexes(a) != set(proper_faces(b)):
+    removed, added = move_tops(move)
+    if through_a != len(b) or any(t not in count for t in removed):
         raise MoveError(f"link of {a} is not the boundary of {b}")
+    return removed, added
 
 
 def apply_move_inplace(
     work: WorkingComplex, move: PachnerMove, n: int
-) -> tuple[set[Simplex], set[Simplex]]:
+) -> tuple[list[Simplex], list[Simplex]]:
     """Check that κ(a, b) applies to a working complex, apply it and return
-    (removed, added)."""
-    check_applicable(work, move, n)
-    removed, added = move_delta(move)
-    for s in removed:
-        work.discard(s)
-    for s in added:
-        work.add(s)
+    its (removed, added) maximal simplexes."""
+    removed, added = check_applicable(work, move, n)
+    work.replace(removed, added)
     if work.next_label <= move.b[-1]:
         work.next_label = move.b[-1] + 1
     return removed, added
@@ -154,58 +146,35 @@ def apply(k: Complex, move: PachnerMove) -> Complex:
     return work.snapshot()
 
 
-def _tally_ridges(
-    ridges: dict[Simplex, int], simplexes: Iterable[Simplex], n: int, step: int
-) -> set[Simplex]:
-    """Add ``step`` to the count of each ridge of the n-simplexes among
-    ``simplexes``; return those ridges."""
-    touched: set[Simplex] = set()
-    for s in simplexes:
-        if len(s) == n + 1:
-            for r in combinations(s, n):
-                ridges[r] = ridges.get(r, 0) + step
-                touched.add(r)
-    return touched
-
-
-def ridge_counts(k: Complex) -> dict[Simplex, int]:
-    """Number of top simplexes containing each ridge of ``k``."""
-    counts: dict[Simplex, int] = {}
-    _tally_ridges(counts, k.simplexes, k.dimension, 1)
-    return counts
-
-
 def apply_moves(
     work: WorkingComplex,
     moves: Iterable[PachnerMove],
     n: int,
-    ridges: Optional[dict[Simplex, int]] = None,
+    check_ridges: bool = False,
 ) -> None:
     """Apply moves in order, each checked by ``apply_move_inplace``.
 
-    ``ridges``, the ``ridge_counts`` of a closed pseudomanifold, is kept
-    current, and every ridge a move touches must come out with exactly two
-    cofacets (or none, once the ridge has left the complex), so a purity or
-    degree defect is caught at the move that creates it.
+    With ``check_ridges``, every ridge of a removed or added n-simplex must
+    come out in exactly two n-simplexes, or in none once it has left the
+    complex, so a purity or degree defect is caught at the move that creates
+    it.  A ridge that stays is a face of an added n-simplex, so it is not
+    maximal and ``count`` gives its cofacets.  A ridge left behind without
+    cofacets cannot occur: every simplex of the complex lies in a maximal
+    simplex, and a ridge leaves ``count`` with the last one.
     """
+    count = work.count
     for m in moves:
         removed, added = apply_move_inplace(work, m, n)
-        if ridges is None:
+        if not check_ridges:
             continue
-        touched = _tally_ridges(ridges, removed, n, -1) | _tally_ridges(ridges, added, n, 1)
-        for r in touched:
-            c = ridges[r]
-            if c == 0:
-                del ridges[r]
-                if r in work:
+        for t in removed + added:
+            for r in combinations(t, n):
+                c = count.get(r, 0)
+                if c != 0 and c != 2:
                     raise MoveError(
-                        f"move κ({m.a}, {m.b}): ridge {r} left behind without cofacets"
+                        f"move κ({m.a}, {m.b}): ridge {r} has {c} cofacets; "
+                        "intermediate complex is not a closed pseudomanifold"
                     )
-            elif c != 2:
-                raise MoveError(
-                    f"move κ({m.a}, {m.b}): ridge {r} has {c} cofacets; "
-                    "intermediate complex is not a closed pseudomanifold"
-                )
 
 
 def sequence_from_moves(start: Complex, moves: Iterable[PachnerMove]) -> MoveSequence:
@@ -217,12 +186,25 @@ def sequence_from_moves(start: Complex, moves: Iterable[PachnerMove]) -> MoveSeq
 
 
 def enumerate_moves(k: Complex) -> list[PachnerMove]:
-    """All applicable moves, ordered by (dim a, a) for determinism."""
+    """All applicable moves, ordered by (dim a, a) for determinism.  The
+    candidate B is a fresh vertex for an n-simplex a, else the vertex set of
+    lk(a), and must pass ``check_applicable``, which needs count[a] = |B| =
+    n + 2 − |a|."""
+    work = WorkingComplex(k)
+    n = k.dimension
     out = []
     for a in sorted(k.simplexes, key=lambda s: (len(s), s)):
-        b = applicable(k, a)
-        if b is not None:
-            out.append(PachnerMove(a, b))
+        if work.count[a] != n + 2 - len(a):
+            continue
+        if len(a) == n + 1:
+            b = (work.next_label,)
+        else:
+            b = tuple(sorted({v for s in work.link_simplexes(a) for v in s}))
+        try:
+            check_applicable(work, PachnerMove(a, b), n)
+        except MoveError:
+            continue
+        out.append(PachnerMove(a, b))
     return out
 
 
@@ -249,11 +231,10 @@ def replay_verified(
     if check_pseudomanifold and not start.is_closed_pseudomanifold():
         raise MoveError("start complex is not a closed pseudomanifold")
     work = WorkingComplex(start)
-    ridges = ridge_counts(start) if check_pseudomanifold else None
     every = max(1, len(seq.moves) // FULL_CHECKS)
     for i in range(0, len(seq.moves), every):
         part = seq.moves[i : i + every]
-        apply_moves(work, part, n, ridges)
+        apply_moves(work, part, n, check_pseudomanifold)
         if check_pseudomanifold and len(part) == every:
             if not work.snapshot().is_closed_pseudomanifold():
                 raise MoveError(f"full check failed after move {i + every - 1}")
@@ -283,24 +264,31 @@ def bfs_equivalence(
     the depth bound, or None.  Complexes are compared by
     ``isomorphism_signature``, so k and l must be pure, strongly connected
     and have no ridge in more than two top simplexes (else ValueError);
-    isomorphic complexes are visited once and distinct ones never merge."""
+    isomorphic complexes are visited once and distinct ones never merge.
+    A node is its set of top simplexes, and a move swaps its ``move_tops``.
+    Moves keep purity, ridge degrees and strong connectivity, so only k and
+    l are checked against the signature's domain, and only the returned
+    path is replayed."""
     goal = isomorphism_signature(l)
     sig = isomorphism_signature(k)
     if sig == goal:
         return sequence_from_moves(k, ())
     seen = {sig}
-    queue: deque[tuple[Complex, tuple[PachnerMove, ...]]] = deque([(k, ())])
+    queue: deque[tuple[frozenset[Simplex], tuple[PachnerMove, ...]]] = deque(
+        [(frozenset(k.top_simplexes()), ())]
+    )
     nodes = 0
     while queue:
-        current, path = queue.popleft()
+        tops, path = queue.popleft()
         if len(path) >= max_depth:
             continue
-        for move in enumerate_moves(current):
+        for move in enumerate_moves(Complex.from_maximal(tops)):
             nodes += 1
             if nodes > max_nodes:
                 raise SearchCapExceeded(f"bfs exceeded {max_nodes} expansions")
-            nxt = apply(current, move)
-            sig = isomorphism_signature(nxt)
+            removed, added = move_tops(move)
+            nxt = tops.difference(removed).union(added)
+            sig = tops_signature(nxt)
             if sig in seen:
                 continue
             seen.add(sig)

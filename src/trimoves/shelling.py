@@ -15,14 +15,13 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .complexes import Complex, Simplex, WorkingComplex, faces, facets
+from .complexes import Complex, Simplex, WorkingComplex, _ridge_tops, faces, facets
 from .pachner import (
     MoveError,
     MoveSequence,
     PachnerMove,
     SearchCapExceeded,
     apply_moves,
-    ridge_counts,
 )
 from .pachner import apply_move_inplace  # noqa: F401  unused; perfbench's tracer patches it here
 
@@ -59,8 +58,8 @@ def boundary_complex(ball: Complex) -> Complex:
     if not ball.is_pure():
         raise ValueError("boundary of a non-pure complex is not defined here")
     out: set[Simplex] = set()
-    for r, c in ridge_counts(ball).items():
-        if c == 1:
+    for r, ts in _ridge_tops(ball.top_simplexes()).items():
+        if len(ts) == 1:
             out.update(faces(r))
     return Complex(out, _assume_closed=True)
 
@@ -82,11 +81,9 @@ class _BallState:
             raise ValueError("shelling needs a pure complex")
         self.n = ball.dimension
         self.tops: set[Simplex] = set(ball.top_simplexes())
-        self.ridge_tops: dict[Simplex, set[Simplex]] = {}
+        self.ridge_tops = _ridge_tops(self.tops)
         self.top_byvertex: dict[int, set[Simplex]] = {}
         for t in self.tops:
-            for r in facets(t):
-                self.ridge_tops.setdefault(r, set()).add(t)
             for v in t:
                 self.top_byvertex.setdefault(v, set()).add(t)
         if any(len(ts) > 2 for ts in self.ridge_tops.values()):
@@ -173,7 +170,7 @@ class _BallState:
         for r in facets(t):
             if aset <= set(r):
                 # ridge contains A: survives, loses this top, becomes boundary
-                self.ridge_tops[r].discard(t)
+                self.ridge_tops[r].remove(t)
                 undo.append(("ridge_detach", r, t))
                 if len(self.ridge_tops[r]) == 1:
                     self._bd_add(r)
@@ -190,11 +187,11 @@ class _BallState:
             if rec[0] == "top":
                 self.tops.add(rec[1])
             elif rec[0] == "ridge_detach":
-                self.ridge_tops[rec[1]].add(rec[2])
+                self.ridge_tops[rec[1]].append(rec[2])
             elif rec[0] == "bd_added":
                 self._bd_remove(rec[1])
             elif rec[0] == "ridge_gone":
-                self.ridge_tops[rec[1]] = {rec[2]}
+                self.ridge_tops[rec[1]] = [rec[2]]
                 self._bd_add(rec[1])
 
     def state_key(self) -> frozenset:
@@ -391,8 +388,7 @@ def star_via_shelling(
         apex = work.fresh_label()
     moves = star_ball_inplace(work, ball, shelling, apex, ambient.dimension)
     result = work.snapshot()
-    expected = {s for s in boundary_complex(ball).simplexes}
-    if work.link_simplexes((apex,)) != expected:
+    if work.link_simplexes((apex,)) != boundary_complex(ball).simplexes:
         raise ShellingError("starred apex link does not equal the ball boundary")
     seq = MoveSequence(tuple(moves), ambient.digest(), result.digest())
     return seq, result

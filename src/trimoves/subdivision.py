@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import comb
 from typing import Optional
 
 from .complexes import Complex, Simplex, facets
@@ -165,12 +166,35 @@ def compose_carriers(
     return SubdividedComplex(outer.complex, inner.parent, carrier, dict(outer.apex_of))
 
 
+def barycentric_f_vector(f: tuple[int, ...], m: int) -> tuple[int, ...]:
+    """f-vector of β^m K from that of K, by f_j(βK) = Σ_i f_i(K)·(j+1)!·S(i+1,
+    j+1) with S the Stirling numbers of the second kind: the j-simplexes of
+    βK inside an i-simplex are the chains of j + 1 of its faces ending at
+    it, one per map of its i + 1 vertices onto j + 1 levels."""
+    for _ in range(m):
+        f = tuple(
+            sum(f_i * _onto(i + 1, j + 1) for i, f_i in enumerate(f)) for j in range(len(f))
+        )
+    return f
+
+
+def _onto(a: int, b: int) -> int:
+    """Maps of an a-set onto a b-set, b!·S(a, b), by inclusion-exclusion."""
+    return sum((-1) ** k * comb(b, k) * (b - k) ** a for k in range(b + 1))
+
+
 def iterated_barycentric(
     k: Complex, m: int, *, max_simplexes: int = 2_000_000
 ) -> SubdividedComplex:
-    """β^m K with the carrier composed all the way down into K."""
+    """β^m K with the carrier composed all the way down into K.  Raises
+    ResourceCapExceeded before any build when β^m K would be too large."""
     if m < 0:
         raise ValueError("m must be non-negative")
+    total = sum(barycentric_f_vector(k.f_vector(), m))
+    if m and total > max_simplexes:
+        raise ResourceCapExceeded(
+            f"β^{m} would have {total} simplexes, above the cap {max_simplexes}"
+        )
     current = identity_subdivision(k)
     for _ in range(m):
         layer = partial_relative(

@@ -1,4 +1,5 @@
 import json
+import time
 from decimal import Decimal
 
 import pytest
@@ -169,6 +170,25 @@ class TestReduceSubcommands:
                      "--kprime", str(ident), "--output", str(out)]) == 0
         data = json.loads(out.read_text())
         assert any("two-layer bound" in n for n in data["trace"]["notes"])
+
+    def test_bridge_size_cap_exit_3(self, tmp_path, capsys):
+        # the bridge puts two more layers on kprime = β²(∂Δ⁴), which would
+        # make 7,238,880 simplexes; the prediction stops it before any build
+        from itertools import combinations
+
+        from trimoves.complexes import close_under_faces
+        from trimoves.serialize import subdivided_to_dict
+        from trimoves.subdivision import iterated_barycentric
+
+        sphere3 = close_under_faces(list(combinations(range(5), 4)))
+        k = tmp_path / "k.json"
+        k.write_text(dumps(complex_to_dict(sphere3)))
+        kprime = tmp_path / "kprime.json"
+        kprime.write_text(dumps(subdivided_to_dict(iterated_barycentric(sphere3, 2))))
+        start = time.perf_counter()
+        assert main(["reduce", "bridge", "--complex", str(k), "--kprime", str(kprime)]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert "7238880 simplexes" in capsys.readouterr().err
 
 
 class TestIntersectCli:

@@ -1,21 +1,31 @@
 import random
+from itertools import combinations
 
 import pytest
 
-from trimoves.complexes import Complex, WorkingComplex, close_under_faces
+from trimoves import reduction, subdivision
+from trimoves.complexes import (
+    Complex,
+    WorkingComplex,
+    boundary_of_simplex,
+    close_under_faces,
+)
+from trimoves.fixtures import random_closed_surface as seeded_surface
 from trimoves.pachner import (
     MoveError,
     PachnerMove,
     applicable,
     apply,
+    apply_move_inplace,
     apply_moves,
     apply_sequence,
     bfs_equivalence,
+    check_applicable,
     enumerate_moves,
-    ridge_counts,
     sequence_from_moves,
 )
 from .test_complexes import boundary_delta3
+from .test_reduction import load_workloads
 
 
 class TestApplicable:
@@ -62,6 +72,13 @@ class TestApply:
         k = boundary_delta3()
         with pytest.raises(MoveError):
             apply(k, PachnerMove((1, 2), (3, 4)))
+
+    def test_non_pure_complex_keeps_its_dangling_edge(self):
+        k = close_under_faces([(1, 2, 3), (3, 4)])
+        out = apply(k, PachnerMove((1, 2, 3), (5,)))
+        assert out == close_under_faces([(1, 2, 5), (1, 3, 5), (2, 3, 5), (3, 4)])
+        with pytest.raises(MoveError, match="link of"):
+            apply(k, PachnerMove((3, 4), (5, 6)))
 
     def test_three_one_removes_vertex(self):
         k = apply(boundary_delta3(), PachnerMove((1, 2, 3), (5,)))
@@ -233,12 +250,22 @@ class TestRidgeCheck:
 
     def test_degree_three_ridge_rejected(self):
         with pytest.raises(MoveError, match=r"ridge \(1, 2\) has 3 cofacets"):
-            apply_moves(WorkingComplex(self.k), [self.move], 2, ridge_counts(self.k))
+            apply_moves(WorkingComplex(self.k), [self.move], 2, check_ridges=True)
 
     def test_applies_without_ridge_counts(self):
         work = WorkingComplex(self.k)
         apply_moves(work, [self.move], 2)
         assert (1, 2, 8) in work and (1, 2, 3) not in work
+
+    def test_no_ridge_is_left_without_cofacets(self):
+        # a ridge stays exactly while some maximal simplex contains it, so
+        # after any move every ridge present has a cofacet: here every
+        # ridge of the removed triangle and the added ones
+        work = WorkingComplex(self.k)
+        apply_moves(work, [self.move, PachnerMove((1, 3), (4, 8))], 2)
+        tops = set(work.snapshot().top_simplexes())
+        for r in work.snapshot().simplexes_of_dim(1):
+            assert work.count[r] == sum(set(r) <= set(t) for t in tops) >= 1
 
 
 def random_closed_surface(rng, n_moves=6):
@@ -259,3 +286,100 @@ def test_fuzzed_moves_preserve_invariants():
             assert out.euler_characteristic() == chi
             assert out.is_closed_pseudomanifold()
             assert apply(out, m.inverted()) == k
+
+
+# -- the κ test against the literal link test ----------------------------------
+
+
+def kappa_holds(work: WorkingComplex, a, b, n: int) -> bool:
+    try:
+        check_applicable(work, PachnerMove(a, b), n)
+    except MoveError:
+        return False
+    return True
+
+
+def literal_holds(k: Complex, a, b) -> bool:
+    """κ(a, b) applies when dim a + dim b = n, a ∈ K, b ∉ K and
+    lk(a, K) = ∂b, read off the full simplex set."""
+    return (
+        len(a) + len(b) == k.dimension + 2
+        and a in k
+        and b not in k
+        and k.link(a) == boundary_of_simplex(b)
+    )
+
+
+def candidates(k: Complex):
+    """For every simplex a: each b of the right size from the vertices of
+    lk(a), then b with one vertex swapped for a fresh one, or for a top a
+    the fresh vertex and each present vertex off a."""
+    fresh = k.max_label() + 1
+    for a in sorted(k.simplexes):
+        size = k.dimension + 2 - len(a)
+        if size == 1:
+            yield a, (fresh,)
+            yield from ((a, (v,)) for v in k.vertices() if v not in a)
+            continue
+        link_vertices = sorted({v for s in k.link(a).simplexes for v in s})
+        for b in combinations(link_vertices, size):
+            yield a, b
+            yield a, b[:-1] + (fresh,)
+
+
+def assert_oracle_agrees(k: Complex) -> int:
+    work = WorkingComplex(k)
+    accepted = 0
+    for a, b in candidates(k):
+        want = literal_holds(k, a, b)
+        assert kappa_holds(work, a, b, k.dimension) == want, (a, b)
+        accepted += want
+    return accepted
+
+
+def with_flaps(k: Complex) -> Complex:
+    """k with a new triangle on every edge, so every edge lies in one more
+    triangle than in k."""
+    label = k.max_label()
+    flaps = []
+    for i, e in enumerate(k.simplexes_of_dim(1)):
+        flaps.append(e + (label + 1 + i,))
+    return Complex(k.simplexes | close_under_faces(flaps).simplexes, _assume_closed=True)
+
+
+def test_kappa_test_matches_link_test_on_bfs_children_and_non_manifolds():
+    accepted = 0
+    for seed in range(3):
+        k = seeded_surface(random.Random(seed), 6)
+        accepted += assert_oracle_agrees(k)
+        for move in enumerate_moves(k):
+            accepted += assert_oracle_agrees(apply(k, move))
+        assert_oracle_agrees(with_flaps(k))
+        assert_oracle_agrees(
+            Complex(k.simplexes | close_under_faces([(1, 99)]).simplexes, _assume_closed=True)
+        )
+    assert accepted > 100
+
+
+@pytest.mark.parametrize("label", ["surface0-m1", "sphere3-m1"])
+def test_kappa_test_matches_link_test_along_reductions(monkeypatch, label):
+    workloads = load_workloads(monkeypatch)
+    (case,) = [
+        c for c in workloads.SphereReduce().generate(workloads.DEFAULT_SEED) if c.label == label
+    ]
+    k, m = case.args
+    alpha = subdivision.iterated_barycentric(k, m)
+    seq, _ = reduction.alpha_to_beta(k, alpha)
+    n = k.dimension
+    work = WorkingComplex(alpha.complex)
+    for move in seq.moves:
+        before = work.snapshot()
+        a, b = move.a, move.b
+        assert literal_holds(before, a, b) and kappa_holds(work, a, b, n)
+        # the same a with b moved off the link, and b onto a present vertex
+        if len(b) > 1:
+            off = b[:-1] + (before.max_label() + 1,)
+        else:
+            off = (next(v for v in before.vertices() if v not in a),)
+        assert not literal_holds(before, a, off) and not kappa_holds(work, a, off, n)
+        apply_move_inplace(work, move, n)

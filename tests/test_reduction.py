@@ -262,6 +262,24 @@ class TestRelate:
             relate(circle_complex(3), circle_complex(5, offset=0.09))
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("side", [1, 2])
+    def test_common_subdivision_count_bound_checked_on_both_sides(self, monkeypatch, side):
+        # relate compares each side's skeleton counts with
+        # commonsub_bound(n, i, own p_i, other q_n); make side 1 pass and
+        # side 2 fail, or side 1 fail
+        calls = []
+
+        def bound(n, i, p_i, q_n):
+            calls.append(i)
+            return 1 if len(calls) > (n + 1) * (side - 1) else 10**9
+
+        monkeypatch.setattr(reduction, "commonsub_bound", bound)
+        monkeypatch.setattr(reduction, "alpha_to_beta", None)  # never reached
+        with pytest.raises(
+            ReductionError, match=rf"side {side}: s_0 = \d+ is not below its bound 1$"
+        ):
+            relate(circle_complex(3), circle_complex(5, offset=0.09))
+
     def test_rejects_mismatched_periods(self):
         with pytest.raises(ReductionError):
             relate(circle_complex(3), circle_complex(3, period=2.0))
@@ -317,18 +335,46 @@ SPHERE_REDUCE_SHA = {
     "surface0-m2": "4092f250ec6d4a80ef160b6623fc84371d62fb383217c1d45627f89df9b10402",
     "sphere3-m1": "9d4200a1afe45cb793792a6adc0820f623c03c0b54cffd4ee7d32a06e151dba9",
 }
+# the same for the first five BFS rounds, which pins each path (the search
+# order) and not only its endpoints, and for the cheapest torus pair
+PACHNER_BFS_SHA = {
+    "bfs0-d2": "ac9ca7b138d7b479204f73da04a62ab6e3869a05e8cbcbc0d9753490ebd71659",
+    "bfs0-d3": "0ea6be1dbc71dbc35f8a35805b06ebe0d249523c3cb972ad0310c6a891444ef4",
+    "bfs0-d4": "dd8a500b4f43eff582bffec69f381f15a727295092865721f6495fba7544c018",
+    "bfs1-d2": "5d7bb6995a16ce009ad9919fbe601b2cb1193e8b6d21658ce6e92e11da779285",
+    "bfs1-d3": "874a77b2e605c182934569decb73fe87c1dacf8d32157a9252cab75bbc24dfce",
+    "bfs1-d4": "d853356d93e69fec0b058a7e1feeed6e072678bf81b9c70d7fc9f9d42c1a3191",
+    "bfs2-d2": "d9630b7b48410a60de681088332aea7055106bd9692517fec5413852bb426474",
+    "bfs2-d3": "9a6c5412a7ac193f5c87c2e86b8ec80c4400866a551843afdd826c3ebb179fec",
+    "bfs2-d4": "1c71d20e6caa4045885e3e0462934e1d48cbbd66861ad2e7128a80499f022590",
+    "bfs3-d2": "61ae5facdb4dc1ad7e01a97bf36456399c10bca23462f5bebbe102307c992a05",
+    "bfs3-d3": "4040723c04d5cd00d3f740a8efb49af62e15b19787c0b57e55903751d24aaf44",
+    "bfs3-d4": "a3d578b7b9a5f31b84fc6620cc4c7437bec8b66daf968de501f0f7651f195258",
+    "bfs4-d2": "5a3f03d81c82ba16b41622b53fef56cc0c19ec1f530399e0e7bf059c15cd57c1",
+    "bfs4-d3": "e03631cfb2745d3595e8e40a4e24dcc702d90b7b4e52a2a10e5ae2169fa2234e",
+    "bfs4-d4": "857e25992d8c268559ceda217a827596d34f6c96360e55b8ea283abd569863d6",
+}
+TORUS_RELATE_SHA = {
+    "grid3-0": "79ab2dc847a7f3da8dbb8509a676957a83f2432502d8ec4bb8a952f0ffbcc620",
+}
 
 
-@pytest.mark.parametrize("label", sorted(SPHERE_REDUCE_SHA))
-def test_sphere_reduce_matches_benchmark_reference(monkeypatch, label):
-    # a change to the step predicate or the greedy order that changes any
-    # shelling fails here
+def load_workloads(monkeypatch):
+    """perfbench/workloads.py, loaded by path."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", PERFBENCH / "workloads.py"
     )
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+@pytest.mark.parametrize("label", sorted(SPHERE_REDUCE_SHA))
+def test_sphere_reduce_matches_benchmark_reference(monkeypatch, label):
+    # a change to the step predicate or the greedy order that changes any
+    # shelling fails here
+    workloads = load_workloads(monkeypatch)
     bench = workloads.SphereReduce()
     (case,) = [c for c in bench.generate(workloads.DEFAULT_SEED) if c.label == label]
     out = bench.run(case)
@@ -336,3 +382,23 @@ def test_sphere_reduce_matches_benchmark_reference(monkeypatch, label):
     reference = json.loads((PERFBENCH / "reference.json").read_text())
     assert [out.start, out.end, out.moves] == reference[bench.name][label]
     assert out.sha == SPHERE_REDUCE_SHA[label]
+
+
+@pytest.mark.parametrize(
+    "workload, pins",
+    [("pachner-bfs", PACHNER_BFS_SHA), ("torus-relate", TORUS_RELATE_SHA)],
+    ids=["pachner-bfs", "torus-relate"],
+)
+def test_outputs_match_benchmark_reference(monkeypatch, workload, pins):
+    # a change to the order the BFS tries moves in, or to anything relate
+    # emits, fails here
+    workloads = load_workloads(monkeypatch)
+    bench = workloads.WORKLOADS[workload]
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    cases = [c for c in bench.generate(workloads.DEFAULT_SEED) if c.label in pins]
+    assert len(cases) == len(pins)
+    for case in cases:
+        out = bench.run(case)
+        bench.check(case, out)
+        assert [out.start, out.end, out.moves] == reference[bench.name][case.label]
+        assert out.sha == pins[case.label], case.label

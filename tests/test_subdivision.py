@@ -1,13 +1,17 @@
 import math
+import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trimoves.complexes import close_under_faces, find_isomorphism
+from trimoves.fixtures import random_closed_surface
 from trimoves.subdivision import (
     ResourceCapExceeded,
     barycentric,
+    barycentric_f_vector,
     compose_carriers,
     identity_subdivision,
     iterated_barycentric,
@@ -83,6 +87,30 @@ class TestIterated:
         k = close_under_faces([(1, 2, 3, 4)])
         with pytest.raises(ResourceCapExceeded):
             iterated_barycentric(k, 4, max_simplexes=1000)
+
+    def test_predicted_f_vector_matches_build(self):
+        sphere3 = close_under_faces(list(combinations(range(5), 4)))
+        assert barycentric_f_vector(sphere3.f_vector(), 1) == (30, 150, 240, 120)
+        assert barycentric_f_vector(sphere3.f_vector(), 2) == (540, 3420, 5760, 2880)
+        cases = [(sphere3, m) for m in (1, 2)]
+        rng = random.Random(0)
+        cases += [(random_closed_surface(rng, 5), m) for _ in range(2) for m in (1, 2, 3)]
+        for k, m in cases:
+            built = iterated_barycentric(k, m).complex.f_vector()
+            assert barycentric_f_vector(k.f_vector(), m) == built
+
+    def test_cap_checked_before_building(self, monkeypatch):
+        # β² of ∂Δ³ has f-vector (74, 216, 144), 434 simplexes in all
+        from trimoves import subdivision
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("built a layer past the predicted cap")
+
+        k = boundary_delta3()
+        assert barycentric_f_vector(k.f_vector(), 2) == (74, 216, 144)
+        monkeypatch.setattr(subdivision, "partial_relative", no_build)
+        with pytest.raises(ResourceCapExceeded, match="434 simplexes"):
+            iterated_barycentric(k, 2, max_simplexes=433)
 
     def test_negative_m(self):
         with pytest.raises(ValueError):

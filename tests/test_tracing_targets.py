@@ -5,8 +5,9 @@ fields of the library's results, so a traced relate must still add up."""
 import importlib.util
 from pathlib import Path
 
-from trimoves import reduction
+from trimoves import pachner, reduction
 from trimoves.fixtures import grid_torus_complex
+from .test_reduction import load_workloads
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -38,3 +39,20 @@ def test_traced_relate_counters():
     assert "reduction.escalation_layers" in tr.counts
     assert tr.counts["reduction.escalation_layers"] == 0
     assert tr.counts["reduction.moves"] == len(res.sequence)
+
+
+def test_traced_bfs_records_moves(monkeypatch):
+    # the search enumerates moves per node and replays only the path it
+    # returns, which still goes through apply_move_inplace
+    tracing = _load_tracing()
+    workloads = load_workloads(monkeypatch)
+    bench = workloads.PachnerBfs()
+    case = bench.generate(workloads.DEFAULT_SEED)[0]
+    k, goal, d = case.args
+    with tracing.Tracer().patched() as tr:
+        seq = pachner.bfs_equivalence(k, goal, d)
+    assert tr.errors == []
+    assert len(seq) == d
+    assert tr.calls["pachner.bfs_equivalence"] == 1
+    assert tr.calls["pachner.enumerate_moves"] > 0
+    assert tr.calls["pachner.apply_move_inplace"] == d
