@@ -154,6 +154,32 @@ def commonsub_bound(n: int, i: int, p_i: int, q_n: int) -> int:
     return (2**n - 1) * math.factorial(n + 1) ** 2 * p_i * q_n
 
 
+def commonsub_rows(s1, s2, p, q) -> dict[int, list[dict]]:
+    """The count bound s_i < (2^n - 1)(n+1)!^2 p_i q_n, or s_i = 0, on a
+    common subdivision of K1 and K2, with f-vectors p and q: side 1 checks
+    the skeleton counts s1 over K1 with (p_i, q_n), side 2 the counts s2
+    over K2 with (q_i, p_n).  One row per i, by side."""
+    n = len(p) - 1
+    rows = {}
+    for side, s, own, other in ((1, s1, p, q), (2, s2, q, p)):
+        bounds = [commonsub_bound(n, i, own[i], other[n]) for i in range(n + 1)]
+        rows[side] = [
+            {"i": i, "s_i": s[i], "bound": b, "ok": s[i] < b or s[i] == 0}
+            for i, b in enumerate(bounds)
+        ]
+    return rows
+
+
+def commonsub_violation(rows: dict[int, list[dict]]) -> Optional[str]:
+    """The first row of ``commonsub_rows`` over its bound, naming its side,
+    i, s_i and the bound; None when every row holds."""
+    bad = [(side, r) for side, side_rows in rows.items() for r in side_rows if not r["ok"]]
+    if not bad:
+        return None
+    side, r = bad[0]
+    return f"common subdivision, side {side}: s_{r['i']} = {r['s_i']} is not below its bound {r['bound']}"
+
+
 W_HYPERBOLIC_3 = "0.9427"  # closed orientable hyperbolic 3-manifold volume floor
 
 

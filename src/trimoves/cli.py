@@ -294,8 +294,10 @@ def cmd_intersect(args) -> int:
     poly = torus_intersect(k1, k2) if args.action == "torus" else intersect_linear(k1, k2)
     common = barycentric_polytopal(poly, k1, k2)
     report = commonsub_count_check(k1, k2, common)
-    if not (report["all_ok"] and report["measure_ok"]):
-        raise CliError(EXIT_INVARIANT, "common subdivision failed its count/measure checks")
+    if report["violation"]:
+        raise CliError(EXIT_INVARIANT, report["violation"])
+    if not report["measure_ok"]:
+        raise CliError(EXIT_INVARIANT, "common subdivision does not conserve the region measure")
     payload = {
         "polytopal": polytopal_to_dict(poly),
         "common_subdivision": common_subdivision_to_dict(common),

@@ -21,7 +21,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .complexes import Complex, Simplex
-from .subdivision import ResourceCapExceeded, barycentric
+from .subdivision import ResourceCapExceeded, barycentric, barycentric_f_vector
 
 NORM_TOL = 1e-12
 CHECK_TOL = 1e-9
@@ -420,16 +420,20 @@ def geometric_barycentric(
 
     Asserts the per-level edge contraction: after each level every edge is
     at most κ(Λ) times the previous maximum edge length, plus CHECK_TOL.
+    Raises ResourceCapExceeded before any build when β^m would be too large.
     """
     if m < 0:
         raise GeometryError("m must be non-negative")
+    predicted = sum(barycentric_f_vector(gk.complex.f_vector(), m))
+    if m and predicted > max_simplexes:
+        raise ResourceCapExceeded(
+            f"geometric β^{m} would have {predicted} simplexes, above the cap {max_simplexes}"
+        )
     current = gk
-    total = len(gk.complex)
     for _ in range(m):
         lam = max(current.max_edge(), 1e-300)
         sub = barycentric(current.complex)
-        total = len(sub.complex)
-        if total > max_simplexes:
+        if len(sub.complex) > max_simplexes:
             raise ResourceCapExceeded(f"geometric subdivision exceeds {max_simplexes}")
         coords = dict(current.coords)
         for parent, apex in sub.apex_of.items():

@@ -4,9 +4,11 @@ Top simplexes of the two complexes are intersected pairwise by successive
 half-space clipping (polygon clipping in 2D, vertex-graph polyhedron
 clipping in 3D), in one loop for the plane and the torus (``_clip_tops``).
 Each clip vertex carries the set of defining hyperplanes, which is what
-reconstructs the face lattice of a cell.  Cells are glued
-into one polytopal complex through a quantised global vertex registry
-(points closer than MERGE_TOL are identified), and the barycentric
+reconstructs the face lattice of a cell.  The labels also name the
+vertex's carriers, the smallest faces of the two parent simplexes that
+contain it, and that pair is its key: cells are glued into one polytopal
+complex by identifying vertices with equal carrier keys (``_assemble``),
+and a face's carriers are the unions of its vertices'.  The barycentric
 subdivision of the result is a simplicial complex carrying every simplex
 to its smallest containing simplex in both parents.
 
@@ -20,18 +22,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
 
+from .bounds import commonsub_rows, commonsub_violation
 from .complexes import Complex, Simplex
 from .geometry import GeomComplex, Geometry, diameter, torus_wrap
 from .subdivision import SubdividedComplex, skeleton_counts
 
 MERGE_TOL = 1e-9
 MIN_MEASURE = 1e-12
-CONTAIN_TOL = 1e-9
 
 # vertex labels of a subject simplex with k vertices: vertex i lies on the
 # facet plane opposite every other vertex
@@ -49,10 +51,11 @@ class IntersectionError(Exception):
 
 
 def _affine_coords(simplex_pts: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Barycentric coordinates of x with respect to simplex_pts rows."""
+    """Barycentric coordinates of x with respect to simplex_pts rows; for
+    one point per row of x, one column of coordinates per point."""
     k = simplex_pts.shape[0]
     a = np.vstack([simplex_pts.T, np.ones(k)])
-    b = np.append(x, 1.0)
+    b = np.concatenate([x.T, np.ones((1,) + x.shape[:-1])])
     coords, *_ = np.linalg.lstsq(a, b, rcond=None)
     return coords
 
@@ -278,38 +281,6 @@ def cell_face_lattice(dim: int, pts, labels):
 # -- global assembly -------------------------------------------------------
 
 
-class _VertexRegistry:
-    """Point-to-id map merging points closer than MERGE_TOL, bucketed on a
-    MERGE_TOL grid; torus coordinates are wrapped into the fundamental
-    domain first, and the buckets wrap with them."""
-
-    def __init__(self, period: Optional[float]):
-        self.period = period
-        self.grid: dict[tuple, list[int]] = {}
-        self.coords: list[np.ndarray] = []
-        self.ncells = int(round(period / MERGE_TOL)) if period is not None else None
-
-    def _key(self, bucket) -> tuple:
-        if self.ncells is None:
-            return tuple(bucket)
-        return tuple(c % self.ncells for c in bucket)
-
-    def get_id(self, x: np.ndarray) -> int:
-        x = torus_wrap(np.asarray(x, dtype=float), self.period)
-        base = np.floor(x / MERGE_TOL).astype(int)
-        for bucket in product(*(range(b - 1, b + 2) for b in base)):
-            for vid in self.grid.get(self._key(bucket), ()):
-                delta = np.abs(self.coords[vid] - x)
-                if self.period is not None:
-                    delta = np.minimum(delta, self.period - delta)
-                if np.linalg.norm(delta) < MERGE_TOL:
-                    return vid
-        vid = len(self.coords)
-        self.coords.append(x)
-        self.grid.setdefault(self._key(base), []).append(vid)
-        return vid
-
-
 @dataclass
 class ConvexCell:
     """A top-dimensional cell: global vertex ids (2-cells as an ordered
@@ -352,29 +323,15 @@ class PolytopalComplex:
         )
 
 
-def _smallest_containing_face(simplex_abs: Simplex, chart: np.ndarray, pts) -> Simplex:
-    """Smallest face of the parent simplex containing all the points, from
-    the union of barycentric supports."""
-    support: set[int] = set()
-    for p in pts:
-        coords = _affine_coords(chart, np.asarray(p))
-        for i, c in enumerate(coords):
-            if c > CONTAIN_TOL:
-                support.add(i)
-        if np.any(coords < -1e-6):
-            raise IntersectionError("cell vertex escapes its provenance simplex")
-    return tuple(sorted(simplex_abs[i] for i in support))
-
-
 def _clip_tops(k1: GeomComplex, k2: GeomComplex, period: Optional[float]):
     """Clip every top simplex of ``k2`` by every top simplex of ``k1``, in a
     fixed order.  On the torus the subject is moved to the translate
     nearest the clipper and clipped in all 3^d shifts of it, and a pair may
     meet in one shift only; on the plane it is clipped as lifted.
 
-    Returns the positive-measure cells as (points, face lattice, (s1, s2),
-    measure, the two charts clipped with), and the ((s1, s2), measure) of
-    the zero-measure clips.
+    Returns the positive-measure cells as (points, point labels, face
+    lattice, (s1, s2), measure, the two charts clipped with), and the
+    ((s1, s2), measure) of the zero-measure clips.
     """
     dim = k1.complex.dimension
     if period is not None:
@@ -403,7 +360,7 @@ def _clip_tops(k1: GeomComplex, k2: GeomComplex, period: Optional[float]):
                 lattice = cell_face_lattice(dim, pts, labels) if len(pts) > dim else None
                 measure = cell_measure(dim, pts, lattice)
                 if measure >= MIN_MEASURE:
-                    hits.append((pts, lattice, (s1, s2), measure, (c1, chart2)))
+                    hits.append((pts, labels, lattice, (s1, s2), measure, (c1, chart2)))
                 else:
                     discarded.append(((s1, s2), measure))
             if len(hits) > 1:
@@ -415,32 +372,61 @@ def _clip_tops(k1: GeomComplex, k2: GeomComplex, period: Optional[float]):
     return cells, discarded
 
 
+def _label_carriers(prov: tuple[Simplex, Simplex], labels: frozenset) -> tuple[Simplex, Simplex]:
+    """The smallest faces of s1 and s2 containing a clip vertex, read off
+    its labels: ("cut", i) puts it on the facet of s1 opposite s1[i], and
+    ("sub", f) on the facet of s2 opposite s2[f]."""
+    s1, s2 = prov
+    return (
+        tuple(v for i, v in enumerate(s1) if ("cut", i) not in labels),
+        tuple(v for f, v in enumerate(s2) if ("sub", f) not in labels),
+    )
+
+
 def _assemble(cells: list, dim: int, period: Optional[float], discarded: list) -> PolytopalComplex:
-    registry = _VertexRegistry(period)
+    """Glue the cells into one complex, identifying each clip vertex by its
+    carrier pair (σ, τ), the smallest faces of s1 and s2 containing it.
+
+    The key is exact: a vertex p of a cell C = s1 ∩ s2 lies in relint σ ∩
+    relint τ.  Were a second point p′ keyed (σ, τ), the segment [p, p′]
+    would lie in that relatively open convex set, so it would extend past
+    p inside C, and p would not be extreme in C.  On the torus the two
+    translates of τ that p and p′ lie in would differ by a lattice vector,
+    of length at least the period, yet p and p′ lie within diam σ + diam τ
+    < period of each other (the diameter precondition of
+    ``torus_intersect``).  The first point seen under a key, wrapped onto
+    the torus, gives the vertex its coordinates.  A face's carriers are the
+    unions of its vertices' carriers (the barycentric support of a convex
+    combination is the union of the supports), so they are read off the
+    labels that all its vertices share.
+    """
+    ids: dict[tuple[Simplex, Simplex], int] = {}
+    vertices: dict[int, np.ndarray] = {}
     out: list[ConvexCell] = []
     faces: dict[tuple, FaceRec] = {}
-    for pts, lattice, prov, measure, charts in cells:
-        vids = [registry.get_id(p) for p in pts]
+    for pts, labels, lattice, prov, measure, charts in cells:
+        arr = np.asarray(pts)
+        if any(np.any(_affine_coords(chart, arr) < -1e-6) for chart in charts):
+            raise IntersectionError(f"cell vertex of pair {prov} escapes its provenance simplex")
+        vids = [ids.setdefault(_label_carriers(prov, lab), len(ids)) for lab in labels]
         if len(set(vids)) != len(vids):
             raise IntersectionError(f"cell of pair {prov} collapsed under merging")
+        for p, vid in zip(pts, vids):
+            if vid not in vertices:
+                vertices[vid] = torus_wrap(p, period)
         cell_vids = tuple(vids[i] for i in lattice[dim][0])
-        out.append(ConvexCell(cell_vids, np.asarray(pts), lattice, prov, measure))
-        # carriers come from the first cell (in the fixed order) with the
-        # face, solved in the charts it was clipped with; the smallest
-        # containing parent face is the same from every cell.  A D-face's
-        # boundary is the (D-1)-faces with subset vids, from every cell.
+        out.append(ConvexCell(cell_vids, arr, lattice, prov, measure))
+        # a face's lift comes from the first cell (in the fixed order) with
+        # it; a D-face's boundary is the (D-1)-faces with subset vids, from
+        # every cell
         for d in range(dim + 1):
             for local in lattice[d]:
                 key = tuple(sorted(vids[i] for i in local))
                 rec = faces.get(key)
                 if rec is None:
-                    fpts = [pts[i] for i in local]
+                    shared = frozenset.intersection(*(labels[i] for i in local))
                     rec = faces[key] = FaceRec(
-                        d,
-                        key,
-                        np.asarray(fpts),
-                        _smallest_containing_face(prov[0], charts[0], fpts),
-                        _smallest_containing_face(prov[1], charts[1], fpts),
+                        d, key, arr[list(local)], *_label_carriers(prov, shared)
                     )
                 lset = set(local)
                 rec.boundary.update(
@@ -448,7 +434,6 @@ def _assemble(cells: list, dim: int, period: Optional[float], discarded: list) -
                     for lower in lattice.get(d - 1, ())
                     if set(lower) <= lset
                 )
-    vertices = {i: registry.coords[i] for i in range(len(registry.coords))}
     return PolytopalComplex(dim, vertices, out, faces, period, discarded)
 
 
@@ -581,20 +566,16 @@ def barycentric_polytopal(
 def commonsub_count_check(
     k1: GeomComplex, k2: GeomComplex, common: CommonSubdivision
 ) -> dict:
-    """Skeleton counts of the common subdivision against the per-dimension
-    bound (2^n - 1)(n+1)!^2 p_i q_n, plus measure conservation."""
-    from .bounds import commonsub_bound
-
+    """The count bound on both sides ("all_ok" and "violation" cover both;
+    "skeleton" lists side 1's rows), plus measure conservation."""
     n = k1.complex.dimension
-    p = k1.complex.f_vector()
-    q = k2.complex.f_vector()
-    s = skeleton_counts(common.as_subdivided(1))
-    rows = []
-    for i in range(n + 1):
-        bound = commonsub_bound(n, i, p[i], q[n])
-        rows.append(
-            {"i": i, "s_i": s[i], "bound": bound, "ok": s[i] < bound or s[i] == 0}
-        )
+    rows = commonsub_rows(
+        skeleton_counts(common.as_subdivided(1)),
+        skeleton_counts(common.as_subdivided(2)),
+        k1.complex.f_vector(),
+        k2.complex.f_vector(),
+    )
+    violation = commonsub_violation(rows)
     gk = common.as_geom()
     total = sum(_top_measure(gk, t) for t in common.complex.top_simplexes())
     if common.period is not None:
@@ -602,8 +583,9 @@ def commonsub_count_check(
     else:
         region = sum(_top_measure(k1, t) for t in k1.complex.top_simplexes())
     return {
-        "skeleton": rows,
-        "all_ok": all(r["ok"] for r in rows),
+        "skeleton": rows[1],
+        "all_ok": violation is None,
+        "violation": violation,
         "measure": total,
         "region": region,
         "measure_ok": abs(total - region) <= 1e-6 * max(region, 1e-300),

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .bounds import depth_m, reduction_level_bound, reduction_sum_bound, bridge_sum_bound, commonsub_bound, mu, total_bound
+from .bounds import depth_m, reduction_level_bound, reduction_sum_bound, bridge_sum_bound, commonsub_rows, commonsub_violation, mu, total_bound
 from .complexes import Complex, Isomorphism, Simplex, WorkingComplex
 from .complexes import find_isomorphism  # noqa: F401  unused; perfbench's tracer patches it here
 from .geometry import GeomComplex, Geometry, geometric_barycentric, kappa
@@ -293,16 +293,12 @@ def relate(k1: GeomComplex, k2: GeomComplex, *, verify: bool = True) -> RelateRe
     common = barycentric_polytopal(poly, b1, b2)
     sub1 = common.as_subdivided(1)
     sub2 = common.as_subdivided(2)
-    # the paper's count bound on the common subdivision, from both sides
     f1, f2 = b1.complex.f_vector(), b2.complex.f_vector()
-    for side, sub, own, other in ((1, sub1, f1, f2), (2, sub2, f2, f1)):
-        for i, s_i in enumerate(skeleton_counts(sub)):
-            bound = commonsub_bound(n, i, own[i], other[n])
-            if s_i >= bound and s_i != 0:
-                raise ReductionError(
-                    f"common subdivision, side {side}: "
-                    f"s_{i} = {s_i} is not below its bound {bound}"
-                )
+    violation = commonsub_violation(
+        commonsub_rows(skeleton_counts(sub1), skeleton_counts(sub2), f1, f2)
+    )
+    if violation:
+        raise ReductionError(violation)
 
     seq1, trace1 = alpha_to_beta(b1.complex, sub1)
     seq2, trace2 = alpha_to_beta(b2.complex, sub2)

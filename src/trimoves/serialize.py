@@ -6,6 +6,8 @@ structures so identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import sys
+
 import numpy as np
 
 from .complexes import Complex, close_under_faces
@@ -128,6 +130,12 @@ def geom_complex_from_dict(data: dict) -> GeomComplex:
     except (KeyError, ValueError, TypeError) as e:
         raise FormatError(f"bad geometric data: {e}") from e
     period = data.get("torus_period")
+    if period is not None and (
+        isinstance(period, bool)
+        or not isinstance(period, (int, float))
+        or not 0 < period <= sys.float_info.max  # false for NaN too
+    ):
+        raise FormatError(f"torus_period must be a positive finite number, got {period!r}")
     gk = GeomComplex(k, tag, coords, period)
     missing = set(k.vertices()) - set(coords)
     if missing:

@@ -120,6 +120,7 @@ def partial_relative(
                 sub[a] = children
                 for s in children:
                     carrier[s] = alpha.carrier[s]
+                total += sum(1 for s in children if alpha.carrier[s] == a)
             else:
                 boundary: set[Simplex] = set()
                 for f in facets(a):
@@ -132,7 +133,8 @@ def partial_relative(
                 for s in boundary:
                     carrier[tuple(sorted(s + (apex,)))] = a
                 sub[a] = boundary | coned
-            total += len(sub[a])
+                total += len(coned)
+            # each simplex is counted once, under its carrier a
             if max_simplexes is not None and total > max_simplexes:
                 raise ResourceCapExceeded(
                     f"subdivision exceeds simplex cap {max_simplexes}"

@@ -1,4 +1,5 @@
 import json
+import re
 import time
 from decimal import Decimal
 
@@ -49,6 +50,21 @@ class TestSubdivide:
     def test_resource_cap_exit_3(self, triangle_file):
         assert main(["subdivide", "--input", triangle_file, "--mode", "iterated:3",
                      "--max-simplexes", "50"]) == 3
+
+    def test_geometric_cap_exit_3_before_building(self, tmp_path, monkeypatch, capsys):
+        # β² of the 3x3 grid torus would have 1944 simplexes; the
+        # prediction stops the run before any barycentric subdivision
+        from trimoves import geometry
+
+        def no_build(k):
+            raise AssertionError("built a barycentric subdivision past the predicted cap")
+
+        monkeypatch.setattr(geometry, "barycentric", no_build)
+        path = tmp_path / "grid.json"
+        path.write_text(dumps(geom_complex_to_dict(grid_torus_complex(3))))
+        assert main(["subdivide", "--input", str(path), "--mode", "geometric:2",
+                     "--max-simplexes", "1943"]) == 3
+        assert "1944 simplexes" in capsys.readouterr().err
 
     def test_determinism(self, sphere_file, tmp_path):
         # identical inputs, seed and output path give byte-identical files
@@ -203,6 +219,43 @@ class TestIntersectCli:
         data = json.loads(out.read_text())
         assert "carrier1" in data["common_subdivision"]
         assert "carrier2" in data["common_subdivision"]
+
+    def test_count_bound_checked_on_side_2(self, tmp_path, monkeypatch, capsys):
+        # side 1, (p_i, q_n), passes; side 2, (q_i, p_n), fails at i = 0
+        from trimoves import bounds
+
+        calls = []
+
+        def bound(n, i, p_i, q_n):
+            calls.append(i)
+            return 10**9 if len(calls) <= n + 1 else 1
+
+        monkeypatch.setattr(bounds, "commonsub_bound", bound)
+        k1p = tmp_path / "k1.json"
+        k2p = tmp_path / "k2.json"
+        k1p.write_text(dumps(geom_complex_to_dict(grid_torus_complex(3))))
+        k2p.write_text(dumps(geom_complex_to_dict(grid_torus_complex(3, shift=(1 / 6, 1 / 6)))))
+        assert main(["intersect", "torus", "--k1", str(k1p), "--k2", str(k2p)]) == 1
+        err = capsys.readouterr().err
+        assert re.search(r"side 2: s_0 = \d+ is not below its bound 1$", err.strip()), err
+
+
+@pytest.mark.parametrize("period", ["1", 0, -1.0, float("nan")], ids=["string", "zero", "negative", "nan"])
+def test_bad_torus_period_exit_2(tmp_path, capsys, period):
+    # each command that loads a geometric complex names the field, where a
+    # string once died with a TypeError, 0 with "SVD did not converge" and
+    # -1.0 with a half-period error
+    data = geom_complex_to_dict(grid_torus_complex(3))
+    data["torus_period"] = period
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps(data))
+    for argv in (
+        ["intersect", "torus", "--k1", str(path), "--k2", str(path)],
+        ["reduce", "relate", "--k1", str(path), "--k2", str(path)],
+        ["subdivide", "--input", str(path), "--mode", "geometric:1"],
+    ):
+        assert main(argv) == 2, argv
+        assert "torus_period must be a positive finite number" in capsys.readouterr().err
 
 
 class TestBoundCli:

@@ -169,26 +169,6 @@ class TestHalfspacesPerTop:
         assert len(calls) == len(k1.complex.top_simplexes())
 
 
-class TestCarriersOncePerFace:
-    def test_two_carrier_solves_per_face(self, monkeypatch):
-        # each face's two carriers are solved once, when the first cell that
-        # has the face creates it, never again for later incident cells
-        import trimoves.intersect as intersect_mod
-
-        calls = []
-        real = intersect_mod._smallest_containing_face
-
-        def counting(simplex_abs, chart, pts):
-            calls.append(simplex_abs)
-            return real(simplex_abs, chart, pts)
-
-        monkeypatch.setattr(intersect_mod, "_smallest_containing_face", counting)
-        poly = torus_intersect(
-            grid_torus_complex(3), grid_torus_complex(3, shift=(1 / 6, 1 / 6))
-        )
-        assert len(calls) == 2 * len(poly.faces) == 360
-
-
 class TestDiscarded:
     """Zero-measure clips are recorded on the plane and dropped on the torus."""
 
@@ -371,30 +351,119 @@ class TestChartPairs:
             assert report["all_ok"] and report["measure_ok"]
 
 
-class TestVertexRegistry:
-    def test_torus_wraparound_merges(self):
-        from trimoves.intersect import _VertexRegistry
+def two_tet_pair():
+    """One tetrahedron, and the same region coned from an interior point."""
+    coords = {
+        0: np.array([0.0, 0.0, 0.0]),
+        1: np.array([1.0, 0.0, 0.0]),
+        2: np.array([0.0, 1.0, 0.0]),
+        3: np.array([0.0, 0.0, 1.0]),
+    }
+    k1 = GeomComplex(close_under_faces([(0, 1, 2, 3)]), E, coords)
+    mid = {**coords, 5: np.array([0.25, 0.25, 0.25])}
+    k2 = GeomComplex(
+        close_under_faces([(0, 1, 2, 5), (0, 1, 3, 5), (0, 2, 3, 5), (1, 2, 3, 5)]),
+        E,
+        mid,
+    )
+    return k1, k2
 
-        reg = _VertexRegistry(period=1.0)
-        a = reg.get_id(np.array([1.0 - 1e-12, 0.5]))
-        b = reg.get_id(np.array([0.0, 0.5]))
-        assert a == b
 
-    def test_distinct_points_not_merged(self):
-        from trimoves.intersect import _VertexRegistry
+def carrier_fixture(name):
+    """(k1, k2, intersect) for the pinned intersection fixtures."""
+    if name == "shifted3":
+        return grid_torus_complex(3), grid_torus_complex(3, shift=(1 / 6, 1 / 6)), torus_intersect
+    if name == "identical3":
+        return grid_torus_complex(3), grid_torus_complex(3), torus_intersect
+    if name == "chart14":
+        return (*random_chart_pair(np.random.default_rng(14)), intersect_linear)
+    return (*two_tet_pair(), intersect_linear)
 
-        reg = _VertexRegistry(period=None)
-        a = reg.get_id(np.array([0.0, 0.0]))
-        b = reg.get_id(np.array([5e-9, 0.0]))
-        assert a != b
 
-    def test_close_points_merged(self):
-        from trimoves.intersect import _VertexRegistry
+# sha256 of polytopal_to_dict + common_subdivision_to_dict, as computed when
+# vertices were still identified by coordinates and carriers solved per face
+INTERSECTION_SHA = {
+    "chart14": "bb1b43553799d2bc6f4ed4f76259b6e09b7fb8b7e3791ea68e59fb925b6c419a",
+    "identical3": "6508acd3956237dda7b612a9fd742884afa4a0b6057412032fe3187f6cd4d890",
+    "shifted3": "3180aa1f90deb5019840800bf8010753211ff5a7c43909bd746d92f162fc29d8",
+    "tets": "36a6399c48e88f51720042c8754059950dc0120f59d786a06fe39791cdc1ac10",
+}
 
-        reg = _VertexRegistry(period=None)
-        a = reg.get_id(np.array([0.2, 0.7]))
-        b = reg.get_id(np.array([0.2 + 2e-10, 0.7 - 2e-10]))
-        assert a == b
+
+class TestCarrierKeys:
+    """Clip vertices are identified, and faces carried, by the carrier pairs
+    their clip labels name."""
+
+    @pytest.mark.parametrize("name", sorted(INTERSECTION_SHA))
+    def test_output_matches_pin(self, name):
+        import hashlib
+
+        from trimoves.serialize import common_subdivision_to_dict, dumps, polytopal_to_dict
+
+        k1, k2, intersect = carrier_fixture(name)
+        poly = intersect(k1, k2)
+        common = barycentric_polytopal(poly, k1, k2)
+        text = dumps(polytopal_to_dict(poly)) + dumps(common_subdivision_to_dict(common))
+        assert hashlib.sha256(text.encode()).hexdigest() == INTERSECTION_SHA[name]
+
+    @pytest.mark.parametrize("name", sorted(INTERSECTION_SHA))
+    def test_label_carriers_match_barycentric_support(self, name):
+        # oracle: the smallest parent faces containing a face's points, from
+        # barycentric coordinates in the charts of every cell with the face
+        k1, k2, intersect = carrier_fixture(name)
+        poly = intersect(k1, k2)
+        checked = 0
+        for cell in poly.cells:
+            s1, s2 = cell.provenance
+            c1, c2 = k1.lift(s1), k2.lift(s2)
+            if poly.period is not None:
+                c2 = c2 + poly.period * np.round(
+                    (cell.lift.mean(axis=0) - c2.mean(axis=0)) / poly.period
+                )
+            vids = [None] * len(cell.lift)
+            for local, vid in zip(cell.faces_by_dim[poly.dim][0], cell.vertex_ids):
+                vids[local] = vid
+            for d, faces in cell.faces_by_dim.items():
+                for local in faces:
+                    rec = poly.faces[tuple(sorted(vids[i] for i in local))]
+                    for simplex, chart, carrier in (
+                        (s1, c1, rec.carrier1),
+                        (s2, c2, rec.carrier2),
+                    ):
+                        a = np.vstack([chart.T, np.ones(len(chart))])
+                        support = set()
+                        for i in local:
+                            coords = np.linalg.solve(a, np.append(cell.lift[i], 1.0))
+                            support |= {simplex[j] for j in np.flatnonzero(coords > 1e-9)}
+                        assert carrier == tuple(sorted(support))
+                    checked += 1
+        assert checked > len(poly.faces)
+
+    def test_identical_grids_share_vertices_across_the_seam(self):
+        # the 3x3 grid's vertices sit on the seam of the fundamental domain;
+        # every cell's copies of them get one id each
+        k = grid_torus_complex(3)
+        poly = torus_intersect(k, k)
+        assert len(poly.vertices) == 9
+        assert {tuple(c) for c in poly.vertices.values()} == {
+            tuple(c) for c in k.coords.values()
+        }
+
+    def test_vertex_outside_its_chart_raises(self, monkeypatch):
+        import trimoves.intersect as intersect_mod
+
+        real = intersect_mod.clip_simplex_pair
+
+        def swollen(sub_pts, halfspaces):
+            pts, labels = real(sub_pts, halfspaces)
+            if pts:
+                center = np.mean(pts, axis=0)
+                pts = [center + 1.5 * (p - center) for p in pts]
+            return pts, labels
+
+        monkeypatch.setattr(intersect_mod, "clip_simplex_pair", swollen)
+        with pytest.raises(IntersectionError, match="escapes its provenance simplex"):
+            intersect_linear(*square_pair())
 
 
 class TestThreeD:
@@ -414,21 +483,7 @@ class TestThreeD:
         assert poly.total_measure() == pytest.approx(1 / 6, abs=1e-12)
 
     def test_two_tet_complexes(self):
-        coords = {
-            0: np.array([0.0, 0.0, 0.0]),
-            1: np.array([1.0, 0.0, 0.0]),
-            2: np.array([0.0, 1.0, 0.0]),
-            3: np.array([0.0, 0.0, 1.0]),
-            4: np.array([1.0, 1.0, 1.0]),
-        }
-        k1 = GeomComplex(close_under_faces([(0, 1, 2, 3)]), E, coords)
-        # same region, cut differently: split along an interior plane point
-        mid = {**coords, 5: np.array([0.25, 0.25, 0.25])}
-        k2 = GeomComplex(
-            close_under_faces([(0, 1, 2, 5), (0, 1, 3, 5), (0, 2, 3, 5), (1, 2, 3, 5)]),
-            E,
-            mid,
-        )
+        k1, k2 = two_tet_pair()
         poly = intersect_linear(k1, k2)
         assert poly.total_measure() == pytest.approx(1 / 6, rel=1e-9)
         assert len(poly.cells) == 4

@@ -9,7 +9,7 @@ import pytest
 from trimoves.bounds import barymoves_bound, reduction_sum_bound, bridge_sum_bound
 from trimoves.complexes import close_under_faces, find_isomorphism
 from trimoves.fixtures import circle_complex, grid_torus_complex
-from trimoves import reduction
+from trimoves import bounds, reduction
 from trimoves.pachner import apply_sequence, replay_verified
 from trimoves.reduction import (
     ReductionError,
@@ -265,15 +265,16 @@ class TestRelate:
     @pytest.mark.parametrize("side", [1, 2])
     def test_common_subdivision_count_bound_checked_on_both_sides(self, monkeypatch, side):
         # relate compares each side's skeleton counts with
-        # commonsub_bound(n, i, own p_i, other q_n); make side 1 pass and
-        # side 2 fail, or side 1 fail
+        # commonsub_bound(n, i, own p_i, other q_n), through the row builder
+        # it shares with `trimoves intersect`; make side 1 pass and side 2
+        # fail, or side 1 fail
         calls = []
 
         def bound(n, i, p_i, q_n):
             calls.append(i)
             return 1 if len(calls) > (n + 1) * (side - 1) else 10**9
 
-        monkeypatch.setattr(reduction, "commonsub_bound", bound)
+        monkeypatch.setattr(bounds, "commonsub_bound", bound)
         monkeypatch.setattr(reduction, "alpha_to_beta", None)  # never reached
         with pytest.raises(
             ReductionError, match=rf"side {side}: s_0 = \d+ is not below its bound 1$"
