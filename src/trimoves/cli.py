@@ -155,21 +155,26 @@ def _write_csv(path: str | None, header: list[str], rows: list[list]) -> None:
 def cmd_subdivide(args) -> int:
     mode = args.mode
     write = partial(_write_output, args, "subdivide", {"input": args.input}, {"mode": mode})
-    if mode.startswith("geometric:"):
-        m = int(mode.split(":", 1)[1])
+    kind, _, count = mode.partition(":")
+    if kind in ("geometric", "partial", "iterated"):
+        try:
+            n = int(count)
+        except ValueError:
+            n = -1
+        if n < 0:
+            raise CliError(EXIT_INPUT, f"mode {mode!r} needs a non-negative integer after '{kind}:'")
+    if kind == "geometric":
         gk = _load_geom(args.input)
-        out = geometric_barycentric(gk, m, max_simplexes=args.max_simplexes)
+        out = geometric_barycentric(gk, n, max_simplexes=args.max_simplexes)
         write({"geometric_complex": geom_complex_to_dict(out)})
         return EXIT_OK
     k = _load_complex(args.input)
     if mode == "bary":
         sub = barycentric(k)
-    elif mode.startswith("partial:"):
-        r = int(mode.split(":", 1)[1])
-        sub = partial_relative(k, identity_subdivision(k), r)
-    elif mode.startswith("iterated:"):
-        m = int(mode.split(":", 1)[1])
-        sub = iterated_barycentric(k, m, max_simplexes=args.max_simplexes)
+    elif kind == "partial":
+        sub = partial_relative(k, identity_subdivision(k), n)
+    elif kind == "iterated":
+        sub = iterated_barycentric(k, n, max_simplexes=args.max_simplexes)
     else:
         raise CliError(EXIT_INPUT, f"unknown mode {mode!r}")
     write({"subdivision": subdivided_to_dict(sub)})

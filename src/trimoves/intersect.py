@@ -3,6 +3,10 @@
 Top simplexes of the two complexes are intersected pairwise by successive
 half-space clipping (polygon clipping in 2D, vertex-graph polyhedron
 clipping in 3D), in one loop for the plane and the torus (``_clip_tops``).
+Every pair is clipped, but a clip first tries the outcode trivial reject of
+Cohen-Sutherland clipping (all subject vertices beyond one clipper plane),
+which answers most pairs, and on the torus the translates of all subjects
+are built in one broadcast per clipping simplex.
 Each clip vertex carries the set of defining hyperplanes, which is what
 reconstructs the face lattice of a cell.  The labels also name the
 vertex's carriers, the smallest faces of the two parent simplexes that
@@ -23,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import mul
 from typing import Optional
 
 import numpy as np
@@ -60,9 +65,11 @@ def _affine_coords(simplex_pts: np.ndarray, x: np.ndarray) -> np.ndarray:
     return coords
 
 
-def simplex_halfspaces(pts: np.ndarray) -> list[tuple[np.ndarray, float, tuple]]:
-    """Facet half-spaces (normal, offset, label) of a full-dimensional
-    simplex: normal . x <= offset holds inside."""
+def simplex_halfspaces(pts: np.ndarray) -> list[tuple]:
+    """Facet half-spaces (normal, offset, label, reject) of a
+    full-dimensional simplex: normal . x <= offset holds inside, and
+    ``reject`` is (the normal as Python floats, offset + 2 MERGE_TOL), the
+    plane of ``clip_simplex_pair``'s trivial reject."""
     k, d = pts.shape
     if k != d + 1:
         raise IntersectionError("half-spaces need a full-dimensional simplex")
@@ -79,7 +86,7 @@ def simplex_halfspaces(pts: np.ndarray) -> list[tuple[np.ndarray, float, tuple]]
         offset = float(normal @ base)
         if normal @ pts[i] > offset:
             normal, offset = -normal, -offset
-        out.append((normal, offset, ("cut", i)))
+        out.append((normal, offset, ("cut", i), (normal.tolist(), offset + 2 * MERGE_TOL)))
     return out
 
 
@@ -189,11 +196,32 @@ def _dedupe_pointset(pts, labels):
 def clip_simplex_pair(sub_pts: np.ndarray, halfspaces):
     """Clip a full-dimensional subject simplex by the half-spaces of another
     (``simplex_halfspaces``); returns (pts, labels) of the clipped cell,
-    with labels drawn from both simplexes' facet planes."""
+    with labels drawn from both simplexes' facet planes.
+
+    It starts with the outcode trivial reject of Cohen-Sutherland clipping:
+    if for one clipper plane every subject vertex p has n . p > offset +
+    2 MERGE_TOL, in Python floats, the cell is empty and is returned at
+    once.  The reject is exact with respect to the stepwise clip below.
+    Every point that clip makes is a convex combination of subject
+    vertices, so at that plane each has n . p - offset > MERGE_TOL: the step
+    keeps no point (it keeps those within MERGE_TOL) and cuts no edge (a cut
+    needs one end below -MERGE_TOL), so the clip is empty there if not
+    before.  One MERGE_TOL is the step's own tolerance; the other absorbs
+    the last-bit gap between numpy's ``p @ normal``, which may fuse the
+    multiply-add, and Python arithmetic, and the rounding of the clip
+    points: a few ulps on coordinates of order one.
+    """
+    sub = sub_pts.tolist()
+    for _, _, _, (coeffs, limit) in halfspaces:
+        for p in sub:
+            if sum(map(mul, coeffs, p)) <= limit:
+                break
+        else:
+            return [], []
     clip = (_clip_segment, _clip_polygon, _clip_polyhedron)[sub_pts.shape[1] - 1]
     labels = _SUBJECT_LABELS[sub_pts.shape[0]]
     pts = list(sub_pts)
-    for normal, offset, cut_label in halfspaces:
+    for normal, offset, cut_label, _ in halfspaces:
         pts, labels = clip(pts, labels, normal, offset, cut_label, MERGE_TOL)
         if not pts:
             return [], []
@@ -327,40 +355,45 @@ def _clip_tops(k1: GeomComplex, k2: GeomComplex, period: Optional[float]):
     """Clip every top simplex of ``k2`` by every top simplex of ``k1``, in a
     fixed order.  On the torus the subject is moved to the translate
     nearest the clipper and clipped in all 3^d shifts of it, and a pair may
-    meet in one shift only; on the plane it is clipped as lifted.
+    meet in one shift only; on the plane it is clipped as lifted.  The
+    translates of all subjects are built in one broadcast per clipper, as
+    (c2 + period round((a1 - a2) / period)) + shift with each top's own
+    centroid a2: the same operations in the same order as one subject at a
+    time, so every chart is bit-identical to that.
 
     Returns the positive-measure cells as (points, point labels, face
     lattice, (s1, s2), measure, the two charts clipped with), and the
     ((s1, s2), measure) of the zero-measure clips.
     """
     dim = k1.complex.dimension
+    tops2 = k2.complex.top_simplexes()
+    lifts2 = [k2.lift(s2) for s2 in tops2]
+    c2 = np.array(lifts2)
     if period is not None:
-        shifts = [np.array(c, dtype=float) * period - period
-                  for c in np.ndindex(*(3,) * dim)]
-    tops2 = []
-    for s2 in k2.complex.top_simplexes():
-        c2 = k2.lift(s2)
-        tops2.append((s2, c2, c2.mean(axis=0)))
+        a2 = np.array([lift.mean(axis=0) for lift in lifts2])
+        shifts = np.array(list(np.ndindex(*(3,) * dim)), dtype=float)[:, None] * period - period
     cells, discarded = [], []
     for s1 in k1.complex.top_simplexes():
         c1 = k1.lift(s1)
         a1 = c1.mean(axis=0)
         halfspaces = simplex_halfspaces(c1)
-        for s2, c2, a2 in tops2:
-            if period is None:
-                subjects = (c2,)
-            else:
-                c2 = c2 + period * np.round((a1 - a2) / period)
-                subjects = (c2 + t for t in shifts)
+        if period is None:
+            subjects = c2[:, None]
+        else:
+            aligned = c2 + period * np.round((a1 - a2) / period)[:, None]
+            subjects = aligned[:, None] + shifts
+        for s2, translates in zip(tops2, subjects):
             hits = []
-            for chart2 in subjects:
+            for chart2 in translates:
                 pts, labels = clip_simplex_pair(chart2, halfspaces)
                 if not pts:
                     continue
                 lattice = cell_face_lattice(dim, pts, labels) if len(pts) > dim else None
                 measure = cell_measure(dim, pts, lattice)
                 if measure >= MIN_MEASURE:
-                    hits.append((pts, labels, lattice, (s1, s2), measure, (c1, chart2)))
+                    # copies: a kept cell holds no view of the whole batch
+                    charts = (c1, chart2.copy())
+                    hits.append((np.array(pts), labels, lattice, (s1, s2), measure, charts))
                 else:
                     discarded.append(((s1, s2), measure))
             if len(hits) > 1:

@@ -66,6 +66,17 @@ class TestSubdivide:
                      "--max-simplexes", "1943"]) == 3
         assert "1944 simplexes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "mode",
+        ["geometric:-1", "iterated:-1", "partial:-1", "geometric:x", "iterated:1.5", "partial:"],
+    )
+    def test_bad_mode_count_is_an_input_error(self, triangle_file, tmp_path, capsys, mode):
+        path = tmp_path / "grid.json"
+        path.write_text(dumps(geom_complex_to_dict(grid_torus_complex(3))))
+        source = str(path) if mode.startswith("geometric") else triangle_file
+        assert main(["subdivide", "--input", source, "--mode", mode]) == 2
+        assert repr(mode) in capsys.readouterr().err
+
     def test_determinism(self, sphere_file, tmp_path):
         # identical inputs, seed and output path give byte-identical files
         out = tmp_path / "a.json"

@@ -528,3 +528,89 @@ class TestThreeD:
         frac = np.mean(inside(a, samples) & inside(b, samples))
         mc = frac * np.prod(hi - lo)
         assert vol == pytest.approx(mc, rel=0.05)
+
+
+def clip_without_reject(sub_pts, halfspaces):
+    """``clip_simplex_pair``'s stepwise clip alone, with no trivial reject."""
+    from trimoves.intersect import MERGE_TOL, _clip_polygon, _clip_polyhedron, _clip_segment
+
+    clip = (_clip_segment, _clip_polygon, _clip_polyhedron)[sub_pts.shape[1] - 1]
+    k = sub_pts.shape[0]
+    labels = [frozenset(("sub", f) for f in range(k) if f != i) for i in range(k)]
+    pts = list(sub_pts)
+    for normal, offset, label, _ in halfspaces:
+        pts, labels = clip(pts, labels, normal, offset, label, MERGE_TOL)
+        if not pts:
+            break
+    return pts, labels
+
+
+def reject_fixture(name):
+    """(k1, k2, intersect) for the trivial-reject oracle."""
+    from trimoves.fixtures import circle_complex
+    from trimoves.geometry import geometric_barycentric
+
+    if name == "fat":
+        # the fat pair of the relate tests, pre-subdivided as relate does
+        k1, k2 = grid_torus_complex(3), grid_torus_complex(3)
+        k2.coords[4] = (k2.coords[4] + np.array([0.05, 0.045])) % 1.0
+        return geometric_barycentric(k1, 1), geometric_barycentric(k2, 1), torus_intersect
+    if name == "identical3":
+        return grid_torus_complex(3), grid_torus_complex(3), torus_intersect
+    if name.startswith("shifted"):
+        g = int(name[-1])
+        return grid_torus_complex(g), grid_torus_complex(g, shift=(0.5 / g, 0.5 / g)), torus_intersect
+    if name == "circles":
+        # shared vertices at 0 and 1/2: the edges touch end to end
+        return circle_complex(4), circle_complex(6), torus_intersect
+    if name.startswith("chart"):
+        return (*random_chart_pair(np.random.default_rng(int(name[5:]))), intersect_linear)
+    k1, k2 = two_tet_pair()
+    if name == "tets-bary":
+        # pre-subdivided, so that 3D pairs also miss and touch
+        return geometric_barycentric(k1, 1), geometric_barycentric(k2, 1), intersect_linear
+    return k1, k2, intersect_linear
+
+
+class TestTrivialReject:
+    """The trivial reject of ``clip_simplex_pair`` never changes a clip."""
+
+    @pytest.mark.parametrize(
+        "name, clips",
+        [
+            ("fat", 108 * 108 * 9),
+            ("identical3", 18 * 18 * 9),
+            ("shifted3", 18 * 18 * 9),
+            ("shifted4", 32 * 32 * 9),
+            ("circles", 4 * 6 * 3),
+            ("chart14", None),
+            ("chart15", None),
+            ("chart16", None),
+            ("chart17", None),
+            ("tets", 1 * 4),
+            ("tets-bary", 24 * 96),
+        ],
+    )
+    def test_every_clip_matches_the_clip_without_reject(self, monkeypatch, name, clips):
+        import trimoves.intersect as intersect_mod
+
+        real = intersect_mod.clip_simplex_pair
+        seen = {"clips": 0, "nonempty": 0}
+
+        def checked(sub_pts, halfspaces):
+            pts, labels = real(sub_pts, halfspaces)
+            want_pts, want_labels = clip_without_reject(sub_pts, halfspaces)
+            assert len(pts) == len(want_pts)
+            assert all(np.array_equal(p, q) for p, q in zip(pts, want_pts))
+            assert labels == want_labels
+            seen["clips"] += 1
+            seen["nonempty"] += bool(pts)
+            return pts, labels
+
+        monkeypatch.setattr(intersect_mod, "clip_simplex_pair", checked)
+        k1, k2, intersect = reject_fixture(name)
+        intersect(k1, k2)
+        if clips is None:
+            clips = len(k1.complex.top_simplexes()) * len(k2.complex.top_simplexes())
+        assert seen["clips"] == clips
+        assert 0 < seen["nonempty"] < clips or name == "tets"

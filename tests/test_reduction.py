@@ -297,16 +297,41 @@ class TestRelate:
         assert a.sequence == b.sequence
         assert a.start.canonical_json() == b.start.canonical_json()
 
-    def test_pre_subdivision_kicks_in_for_fat_simplexes(self):
+    def test_pre_subdivision_kicks_in_for_fat_simplexes(self, monkeypatch):
         # a jittered vertex can push a triangle's metric diameter past
         # half the period while every coordinate difference stays liftable:
         # the pipeline must pre-subdivide once before intersecting
+        import trimoves.intersect as intersect_mod
+
+        clips, nonempty, kept = [], [], []
+        real_clip, real_intersect = intersect_mod.clip_simplex_pair, reduction.torus_intersect
+
+        def counting_clip(sub_pts, halfspaces):
+            pts, labels = real_clip(sub_pts, halfspaces)
+            clips.append(1)
+            if pts:
+                nonempty.append(1)
+            return pts, labels
+
+        def counting_intersect(b1, b2):
+            poly = real_intersect(b1, b2)
+            kept.append(len(poly.cells))
+            return poly
+
+        monkeypatch.setattr(intersect_mod, "clip_simplex_pair", counting_clip)
+        monkeypatch.setattr(reduction, "torus_intersect", counting_intersect)
         k1 = grid_torus_complex(3)
         k2 = grid_torus_complex(3)
         k2.coords[4] = (k2.coords[4] + np.array([0.05, 0.045])) % 1.0
         assert k2.max_edge() >= 0.5
         res = relate(k1, k2, verify=False)
         assert res.pre_subdivision_depth == 1
+        # every pair and translate is still clipped: the counts the traced
+        # benchmark run pins for this pair
+        pinned = load_workloads(monkeypatch).TorusRelate.TRACED_COUNTS["fat"]
+        assert len(clips) == pinned["intersect.clip_simplex_pair"]
+        assert kept == [pinned["intersect.cells_kept"]]
+        assert len(nonempty) == 1637
         # every level of both reductions is checked exactly, including the
         # ones of 2,880 simplexes
         for trace in (res.trace1, res.trace2):
