@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, permutations, repeat
 from typing import Collection, Iterable, Iterator, Optional
@@ -418,14 +419,15 @@ def find_isomorphism(k: Complex, l: Complex) -> Optional[Isomorphism]:
 # -- canonical form --------------------------------------------------------
 
 
-def isomorphism_signature(k: Complex) -> tuple[Simplex, ...]:
+def isomorphism_signature(k: Complex) -> tuple[int, ...]:
     """A complete isomorphism invariant, after Burton's isomorphism
     signatures: two complexes are isomorphic exactly when their signatures
     are equal.
 
     The domain is the pure, strongly connected complexes whose ridges each
     lie in at most two top simplexes; any other input raises ValueError.
-    The signature is ``tops_signature`` of the top simplexes.
+    The signature is ``tops_signature`` of the top simplexes: the least
+    stream of walk records over the starts, compared record by record.
     """
     tops = k.top_simplexes()
     if not tops or not k.is_pure():
@@ -433,61 +435,119 @@ def isomorphism_signature(k: Complex) -> tuple[Simplex, ...]:
     return tops_signature(tops)
 
 
-def tops_signature(tops: Collection[Simplex]) -> tuple[Simplex, ...]:
+def tops_signature(tops: Collection[Simplex]) -> tuple[int, ...]:
     """``isomorphism_signature`` of the pure complex with top simplexes
     ``tops``; ValueError when a ridge lies in more than two of them or they
     are not strongly connected.
 
-    A start is one top simplex with one ordering of its vertices.  It labels
-    those vertices 0..n in that order, then walks the tops breadth-first
-    across ridges, taking the facets of each top opposite its vertices in
-    label order, and gives each newly reached vertex the next label.  The
-    signature is the least relabelled top set over all starts.  Only starts
-    whose vertex-degree sequence is least are tried; that choice commutes
-    with isomorphisms, so the signature stays complete.
+    A start is one top simplex with one ordering of its vertices.  Only
+    starts whose vertex-degree sequence is least are tried.  A start labels
+    its vertices 0..n in its order, then walks the tops breadth-first across
+    ridges, taking each top's vertices v in label order.  Each such
+    (top, vertex) slot emits one record: when the top across the facet
+    opposite v is newly reached, the label of its vertex w off that facet (a
+    vertex seen for the first time gets the next label); otherwise, or when
+    no top is across, the sentinel -1.  The new top's label order is the
+    current one without v, then w, sorted again only when w already had a
+    label.  The signature is the least record stream over all starts.
+
+    Completeness.  An isomorphism maps starts to starts (degrees are
+    invariant) and walks to walks, so isomorphic complexes have the same
+    set of streams and the same least one.  Conversely a stream decodes to
+    the labelled top set: n + 1 is the first record other than -1, or the
+    stream length when every record is -1 (the first top's slots can only
+    reach unlabelled vertices); then a decoder replays the walk on labels,
+    the sentinel telling it which slots add a top (on a complex with
+    boundary nothing else tells it).  Every top is reached and so every
+    vertex labelled, so equal streams give a label-preserving bijection of
+    the top sets, which is an isomorphism of the complexes.
+
+    Early abort.  Every start of a strongly connected complex emits one
+    record per (top, vertex) slot, so all streams have the same length and
+    their order is lexicographic.  A start is dropped at the first record
+    that exceeds the best stream's record at the same position, since no
+    later record can make it less; a start that ties so far goes on.  The
+    first start has nothing to compare with and runs to the end, so strong
+    connectivity is checked on every call.
     """
-    # across[t][v] = (u, w): u is the top across the facet of t opposite v,
-    # and w is the vertex of u off that facet
-    across: dict[Simplex, dict[int, tuple[Simplex, int]]] = {t: {} for t in tops}
-    for r, ts in _ridge_tops(tops).items():
-        if len(ts) > 2:
-            raise ValueError(f"ridge {r} lies in {len(ts)} top simplexes")
-        if len(ts) == 2:
-            t, u = ts
-            rest = sum(r)
-            across[t][sum(t) - rest] = (u, sum(u) - rest)
-            across[u][sum(u) - rest] = (t, sum(t) - rest)
-    degree: dict[int, int] = {}
-    for t in tops:
-        for v in t:
-            degree[v] = degree.get(v, 0) + 1
-    least = min(sorted(degree[v] for v in t) for t in tops)
-    best: Optional[tuple[Simplex, ...]] = None
-    for t in tops:
-        if sorted(degree[v] for v in t) != least:
+    # tops[i] is top i; across[i][v] = (j, w): top j is across the facet of
+    # top i opposite v, and w is the vertex of top j off that facet.  first[r]
+    # is the first top through the ridge r with its vertex off r, and None
+    # once a second top has paired with it.  A 0-simplex has no facets.
+    tops = list(tops)
+    across: list[dict[int, tuple[int, int]]] = [{} for _ in tops]
+    first: dict[Simplex, Optional[tuple[int, int]]] = {}
+    for i, t in enumerate(tops):
+        # the facets come in reverse order of their opposite vertices
+        for v, r in zip(reversed(t), facets(t)):
+            other = first.get(r, False)
+            if other is False:
+                first[r] = (i, v)
+            elif other is None:
+                raise ValueError(f"ridge {r} lies in more than two top simplexes")
+            else:
+                j, w = other
+                across[i][v] = other
+                across[j][w] = (i, v)
+                first[r] = None
+    degree = Counter(chain.from_iterable(tops))
+    degrees = [sorted(map(degree.__getitem__, t)) for t in tops]
+    least = min(degrees)
+    best: Optional[list[int]] = None
+    for i, t in enumerate(tops):
+        if degrees[i] != least:
             continue
         for order in permutations(t):
             if [degree[v] for v in order] != least:
                 continue
-            label = {v: i for i, v in enumerate(order)}
-            reached = [t]
-            seen = {t}
-            for cur in reached:
-                step = across[cur]
-                for v in sorted(cur, key=label.__getitem__):
-                    u, w = step.get(v, (None, None))
-                    if u is None or u in seen:
-                        continue
-                    seen.add(u)
-                    reached.append(u)
-                    if w not in label:
-                        label[w] = len(label)
-            if len(reached) != len(tops):
-                raise ValueError("complex is not strongly connected")
-            sig = tuple(sorted(tuple(sorted(label[v] for v in u)) for u in reached))
-            if best is None or sig < best:
-                best = sig
-    return best
+            records = _walk_records(across, i, order, best)
+            if records is not None:
+                best = records
+    return tuple(best)
+
+
+def _walk_records(
+    across: list[dict[int, tuple[int, int]]],
+    start: int,
+    order: tuple[int, ...],
+    best: Optional[list[int]],
+) -> Optional[list[int]]:
+    """The record stream of one start of ``tops_signature``: top ``start``
+    with its vertices labelled in ``order``.  None when the stream is not
+    less than ``best``: it is dropped at the first record above best's, or
+    ties with best to the end."""
+    label = {v: k for k, v in enumerate(order)}
+    none = (len(across), -1)  # no top across: counts as already reached
+    seen = [False] * len(across) + [True]
+    seen[start] = True
+    walk = [(start, order)]
+    records: list[int] = []
+    tied = best is not None
+    for cur, cur_order in walk:
+        step = across[cur]
+        for v in cur_order:
+            j, w = step.get(v, none)
+            if seen[j]:
+                rec = -1
+            else:
+                seen[j] = True
+                k = cur_order.index(v)
+                rest = cur_order[:k] + cur_order[k + 1 :]
+                rec = label.get(w)
+                if rec is None:
+                    rec = label[w] = len(label)
+                    walk.append((j, rest + (w,)))
+                else:
+                    walk.append((j, tuple(sorted(rest + (w,), key=label.__getitem__))))
+            if tied:
+                b = best[len(records)]
+                if rec > b:
+                    return None
+                tied = rec == b
+            records.append(rec)
+    if len(walk) != len(across):
+        raise ValueError("complex is not strongly connected")
+    return None if tied else records
 
 
 # -- mutable complex -------------------------------------------------------

@@ -268,7 +268,9 @@ def bfs_equivalence(
     A node is its set of top simplexes, and a move swaps its ``move_tops``.
     Moves keep purity, ridge degrees and strong connectivity, so only k and
     l are checked against the signature's domain, and only the returned
-    path is replayed."""
+    path is replayed.  A negative ``max_depth`` raises ValueError."""
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be non-negative, got {max_depth}")
     goal = isomorphism_signature(l)
     sig = isomorphism_signature(k)
     if sig == goal:

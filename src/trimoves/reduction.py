@@ -14,12 +14,13 @@ and validated move by move against the ambient complex.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional
 
 from .bounds import depth_m, reduction_level_bound, reduction_sum_bound, bridge_sum_bound, commonsub_rows, commonsub_violation, mu, total_bound
 from .complexes import Complex, Isomorphism, Simplex, WorkingComplex
 from .complexes import find_isomorphism  # noqa: F401  unused; perfbench's tracer patches it here
-from .geometry import GeomComplex, Geometry, geometric_barycentric, kappa
+from .geometry import GeomComplex, Geometry, geometric_barycentric
 from .intersect import CommonSubdivision, barycentric_polytopal, torus_intersect
 from .pachner import MoveSequence, PachnerMove, replay_verified
 from .pachner import apply_move_inplace  # noqa: F401  unused; perfbench's tracer patches it here
@@ -248,12 +249,16 @@ class RelateResult:
 
 
 def _min_convexity_depth(gk: GeomComplex) -> int:
-    """Smallest m with kappa^m Lambda < 2 r(M) on the flat torus/circle."""
-    lam = gk.max_edge()
-    inj = gk.period / 2  # = 2 r(M)
+    """Smallest m with kappa^m Lambda < 2 r(M) on the flat torus/circle.
+
+    The Euclidean kappa is n/(n+1), so the test runs in Fractions on the
+    exact values of the float edge bound Lambda and period: no rounding can
+    drop a level at the boundary."""
+    lam = Fraction(gk.max_edge())
+    inj = Fraction(gk.period) / 2  # = 2 r(M)
     n = gk.complex.dimension
+    contraction = Fraction(n, n + 1)
     m = 0
-    contraction = kappa(Geometry.EUCLIDEAN, n, max(lam, 1e-12))
     while lam >= inj:
         lam *= contraction
         m += 1

@@ -103,6 +103,17 @@ class TestPachnerCli:
                      "--max-depth", "2", "--output", str(out)]) == 0
         assert len(json.loads(out.read_text())["sequence"]["moves"]) == 1
 
+    def test_bfs_negative_depth_exit_2(self, sphere_file, tmp_path, capsys):
+        from trimoves.pachner import PachnerMove, apply
+
+        bigger = apply(boundary_delta3(), PachnerMove((1, 2, 3), (5,)))
+        goal = tmp_path / "goal.json"
+        goal.write_text(dumps(complex_to_dict(bigger)))
+        for target in (sphere_file, str(goal)):
+            assert main(["pachner", "bfs", "--start", sphere_file, "--goal", target,
+                         "--max-depth", "-1"]) == 2
+            assert "max_depth" in capsys.readouterr().err
+
     def test_bfs_outside_signature_domain_exit_2(self, sphere_file, tmp_path):
         # three triangles on one edge: no isomorphism signature, so no search
         from trimoves.complexes import close_under_faces

@@ -15,7 +15,8 @@ from trimoves.complexes import (
     isomorphism_signature,
     join,
 )
-from trimoves.fixtures import grid_torus_complex, random_closed_surface
+from trimoves.fixtures import grid_torus_complex, random_ball_2d, random_closed_surface
+from trimoves.pachner import apply, enumerate_moves
 from trimoves.subdivision import barycentric
 
 
@@ -328,10 +329,34 @@ def random_relabelling(rng, k):
     return Isomorphism(dict(zip(verts, rng.sample(range(100), len(verts))))).apply(k)
 
 
+def bfs_children(k):
+    """k and every complex one move away from it."""
+    return [k] + [apply(k, m) for m in enumerate_moves(k)]
+
+
+def cycle(n):
+    return close_under_faces([(i, (i + 1) % n) for i in range(n)])
+
+
+SIGNATURE_FAMILIES = {
+    # the children of a seeded surface are the nodes bfs_equivalence dedups
+    **{
+        f"surface{n}": (lambda n=n: bfs_children(random_closed_surface(random.Random(n), n)))
+        for n in (2, 4, 6)
+    },
+    "delta4": lambda: bfs_children(close_under_faces(itertools.combinations(range(5), 4))),
+    "cycles": lambda: [cycle(n) for n in (3, 5, 8)],
+    # with a boundary, the sentinel tells which slots reach a new top
+    "disks": lambda: [random_ball_2d(random.Random(i), 1 + i % 8) for i in range(24)],
+    # every vertex has degree 6, so every top is a start and the ties run long
+    "grid3": lambda: bfs_children(grid_torus_complex(3).complex),
+}
+
+
 class TestIsomorphismSignature:
     def test_invariant_under_relabelling(self):
         rng = random.Random(7)
-        cycles = [close_under_faces([(i, (i + 1) % n) for i in range(n)]) for n in (3, 5, 8)]
+        cycles = [cycle(n) for n in (3, 5, 8)]
         # on the larger surfaces, starts that tie on degrees give different
         # relabellings, and only the least of them is invariant; every vertex
         # of a grid torus has degree 6, so every top is a start
@@ -357,9 +382,34 @@ class TestIsomorphismSignature:
             outcomes.add(iso)
         assert outcomes == {True, False}
 
+    @pytest.mark.parametrize("family", sorted(SIGNATURE_FAMILIES))
+    def test_walk_records_agree_with_find_isomorphism(self, family):
+        # the record stream with early abort against the reference, on every
+        # pair of a family and of its random relabellings
+        rng = random.Random(5)
+        base = SIGNATURE_FAMILIES[family]()
+        sample = base + [random_relabelling(rng, k) for k in base for _ in range(2)]
+        sigs = [isomorphism_signature(k) for k in sample]
+        outcomes = set()
+        for i, j in itertools.combinations(range(len(sample)), 2):
+            iso = find_isomorphism(sample[i], sample[j]) is not None
+            assert (sigs[i] == sigs[j]) == iso, (sample[i], sample[j])
+            outcomes.add(iso)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("maximal", [[(0,)], [(3, 7)]])
+    def test_single_simplex_has_a_signature(self, maximal):
+        # a 0-simplex has no ridges, so the walk is the start alone
+        k = close_under_faces(maximal)
+        sig = isomorphism_signature(k)
+        assert isomorphism_signature(random_relabelling(random.Random(1), k)) == sig
+        assert sig != isomorphism_signature(close_under_faces([(0, 1, 2)]))
+
     @pytest.mark.parametrize(
         "maximal",
         [
+            [(0,), (1,)],  # isolated vertices share no ridge, not even ()
+            [(0,), (1,), (2,)],
             [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)],  # not strongly connected
             [(0, 1, 2), (2, 3)],  # not pure
             [(0, 1, 2), (0, 1, 3), (0, 1, 4)],  # an edge in three triangles

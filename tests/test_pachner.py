@@ -140,6 +140,14 @@ class TestBfs:
         seq = bfs_equivalence(k, k, 3)
         assert seq is not None and len(seq) == 0
 
+    @pytest.mark.parametrize("isomorphic", [True, False])
+    def test_negative_depth_rejected(self, isomorphic):
+        # rejected before the search, whether or not the start is the goal
+        k = boundary_delta3()
+        l = k if isomorphic else apply(k, PachnerMove((1, 2, 3), (5,)))
+        with pytest.raises(ValueError, match="max_depth"):
+            bfs_equivalence(k, l, -1)
+
     def test_one_three_expansion_found_in_one_move(self):
         k = boundary_delta3()
         l = apply(k, PachnerMove((1, 2, 3), (5,)))

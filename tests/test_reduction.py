@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import sys
@@ -297,6 +298,24 @@ class TestRelate:
         assert a.sequence == b.sequence
         assert a.start.canonical_json() == b.start.canonical_json()
 
+    def test_pre_subdivision_depth_is_exact_at_the_boundary(self):
+        # (2/3)^2 * 0.7875 == 0.35 in reals, so two levels leave Lambda at half
+        # the period and a third is needed; on these float inputs the exact
+        # least m is 3, where a float loop stops at 2
+        from fractions import Fraction
+        from types import SimpleNamespace
+
+        from trimoves.reduction import _min_convexity_depth
+
+        stub = SimpleNamespace(
+            max_edge=lambda: 0.7875, period=0.7, complex=SimpleNamespace(dimension=2)
+        )
+        assert Fraction(0.7875) * Fraction(2, 3) ** 2 >= Fraction(0.7) / 2
+        assert _min_convexity_depth(stub) == 3
+        # a Lambda below half the period needs no level
+        stub.max_edge = lambda: 0.3
+        assert _min_convexity_depth(stub) == 0
+
     def test_pre_subdivision_kicks_in_for_fat_simplexes(self, monkeypatch):
         # a jittered vertex can push a triangle's metric diameter past
         # half the period while every coordinate difference stays liftable:
@@ -380,6 +399,9 @@ PACHNER_BFS_SHA = {
     "bfs4-d3": "e03631cfb2745d3595e8e40a4e24dcc702d90b7b4e52a2a10e5ae2169fa2234e",
     "bfs4-d4": "857e25992d8c268559ceda217a827596d34f6c96360e55b8ea283abd569863d6",
 }
+# sha256 of the ordered list of all 105 seed-0 pachner-bfs output sha256s,
+# one per line: every path the search returns, in case order
+PACHNER_BFS_ALL_SHA = "53d1c6af330b807e2f43e58a1e9a4517071e34013c533b9790fb3e780d4708ac"
 TORUS_RELATE_SHA = {
     "grid3-0": "79ab2dc847a7f3da8dbb8509a676957a83f2432502d8ec4bb8a952f0ffbcc620",
 }
@@ -428,3 +450,18 @@ def test_outputs_match_benchmark_reference(monkeypatch, workload, pins):
         bench.check(case, out)
         assert [out.start, out.end, out.moves] == reference[bench.name][case.label]
         assert out.sha == pins[case.label], case.label
+
+
+def test_every_bfs_path_matches_benchmark_reference(monkeypatch):
+    # a change to the signature that merges or splits isomorphism classes,
+    # or to the move order, changes some path and fails here
+    workloads = load_workloads(monkeypatch)
+    bench = workloads.WORKLOADS["pachner-bfs"]
+    cases = bench.generate(workloads.DEFAULT_SEED)
+    assert len(cases) == 105
+    shas = []
+    for case in cases:
+        out = bench.run(case)
+        bench.check(case, out)
+        shas.append(out.sha)
+    assert hashlib.sha256("\n".join(shas).encode()).hexdigest() == PACHNER_BFS_ALL_SHA
