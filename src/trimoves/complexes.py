@@ -426,19 +426,30 @@ def isomorphism_signature(k: Complex) -> tuple[int, ...]:
 
     The domain is the pure, strongly connected complexes whose ridges each
     lie in at most two top simplexes; any other input raises ValueError.
-    The signature is ``tops_signature`` of the top simplexes: the least
-    stream of walk records over the starts, compared record by record.
+    The signature is the first half of ``tops_signature`` of the top
+    simplexes: the least stream of walk records over the starts, compared
+    record by record.
     """
+    return tops_signature(pure_tops(k))[0]
+
+
+def pure_tops(k: Complex) -> list[Simplex]:
+    """The top simplexes of a nonempty pure complex, sorted; ValueError for
+    any other complex."""
     tops = k.top_simplexes()
     if not tops or not k.is_pure():
         raise ValueError("isomorphism signature needs a nonempty pure complex")
-    return tops_signature(tops)
+    return tops
 
 
-def tops_signature(tops: Collection[Simplex]) -> tuple[int, ...]:
-    """``isomorphism_signature`` of the pure complex with top simplexes
-    ``tops``; ValueError when a ridge lies in more than two of them or they
-    are not strongly connected.
+def tops_signature(
+    tops: Collection[Simplex],
+) -> tuple[tuple[int, ...], list[dict[int, int]]]:
+    """``(isomorphism_signature, automorphisms)`` of the pure complex with
+    top simplexes ``tops``; ValueError when a ridge lies in more than two of
+    them or they are not strongly connected.  Each automorphism is a vertex
+    map sending the top set onto itself; together with the identity, which
+    is left out, they are the whole automorphism group.
 
     A start is one top simplex with one ordering of its vertices.  Only
     starts whose vertex-degree sequence is least are tried.  A start labels
@@ -469,6 +480,20 @@ def tops_signature(tops: Collection[Simplex]) -> tuple[int, ...]:
     later record can make it less; a start that ties so far goes on.  The
     first start has nothing to compare with and runs to the end, so strong
     connectivity is checked on every call.
+
+    Automorphisms.  A start that ties the best stream to the end decodes to
+    the same labelled top set as the best start, so g(x) = the vertex with
+    label best_label[x] under the tied start sends tops to tops: g is an
+    automorphism, and it sends the best start to the tied one.  The ties
+    are recorded against the final best only; they are cleared whenever the
+    best stream changes.  They give all of Aut: an automorphism sends the
+    best start to a start with the least degree sequence and the same
+    stream.  A start whose stream equals the current best's is neither
+    dropped nor made the best, so the final best is the first start in
+    iteration order with the least stream, and every other start with that
+    stream comes later and ties with it.  An automorphism that fixes a start fixes a whole top and,
+    by strong connectivity, every vertex, so distinct starts give distinct
+    automorphisms and |Aut| = 1 + (number of ties with the final best).
     """
     # tops[i] is top i; across[i][v] = (j, w): top j is across the facet of
     # top i opposite v, and w is the vertex of top j off that facet.  first[r]
@@ -494,16 +519,26 @@ def tops_signature(tops: Collection[Simplex]) -> tuple[int, ...]:
     degrees = [sorted(map(degree.__getitem__, t)) for t in tops]
     least = min(degrees)
     best: Optional[list[int]] = None
+    best_label: dict[int, int] = {}
+    ties: list[dict[int, int]] = []
     for i, t in enumerate(tops):
         if degrees[i] != least:
             continue
         for order in permutations(t):
             if [degree[v] for v in order] != least:
                 continue
-            records = _walk_records(across, i, order, best)
-            if records is not None:
-                best = records
-    return tuple(best)
+            walked = _walk_records(across, i, order, best)
+            if walked is None:
+                continue
+            records, label = walked
+            if records is None:
+                ties.append(label)
+            else:
+                best, best_label = records, label
+                ties.clear()
+    # a label map lists its vertices in label order, so zipping two pairs
+    # the vertices that carry the same label
+    return tuple(best), [dict(zip(best_label, label)) for label in ties]
 
 
 def _walk_records(
@@ -511,11 +546,12 @@ def _walk_records(
     start: int,
     order: tuple[int, ...],
     best: Optional[list[int]],
-) -> Optional[list[int]]:
-    """The record stream of one start of ``tops_signature``: top ``start``
-    with its vertices labelled in ``order``.  None when the stream is not
-    less than ``best``: it is dropped at the first record above best's, or
-    ties with best to the end."""
+) -> Optional[tuple[Optional[list[int]], dict[int, int]]]:
+    """The record stream of one start of ``tops_signature`` (top ``start``
+    with its vertices labelled in ``order``) and its vertex labels, in
+    label order.  The stream is None when it ties with ``best`` to the end;
+    the whole result is None when the start is dropped at its first record
+    above best's."""
     label = {v: k for k, v in enumerate(order)}
     none = (len(across), -1)  # no top across: counts as already reached
     seen = [False] * len(across) + [True]
@@ -547,7 +583,7 @@ def _walk_records(
             records.append(rec)
     if len(walk) != len(across):
         raise ValueError("complex is not strongly connected")
-    return None if tied else records
+    return (None if tied else records), label
 
 
 # -- mutable complex -------------------------------------------------------

@@ -18,6 +18,7 @@ from .complexes import (
     Simplex,
     WorkingComplex,
     isomorphism_signature,
+    pure_tops,
     tops_signature,
 )
 from .complexes import find_isomorphism  # noqa: F401  unused; perfbench's tracer patches it here
@@ -268,33 +269,54 @@ def bfs_equivalence(
     A node is its set of top simplexes, and a move swaps its ``move_tops``.
     Moves keep purity, ridge degrees and strong connectivity, so only k and
     l are checked against the signature's domain, and only the returned
-    path is replayed.  A negative ``max_depth`` raises ValueError."""
+    path is replayed.  A negative ``max_depth`` raises ValueError, and
+    trying more than ``max_nodes`` moves in all raises SearchCapExceeded;
+    moves skipped as automorphic images count as tried.
+
+    Automorphism pruning.  Each node carries the automorphisms that its
+    ``tops_signature`` call returned.  Its moves come in ``enumerate_moves``
+    order; a move that is the image g(m) of an earlier move m under a node
+    automorphism g is skipped.  This is exact: g extends to an isomorphism
+    from child(m) to child(g(m)) that fixes the fresh vertex, so the skipped
+    child has the signature of an earlier sibling, and a search without
+    pruning would have found that signature in ``seen``, or returned on it.
+    The visited nodes, their order, the returned path and the point where
+    the cap is hit are therefore the same as without pruning."""
     if max_depth < 0:
         raise ValueError(f"max_depth must be non-negative, got {max_depth}")
     goal = isomorphism_signature(l)
-    sig = isomorphism_signature(k)
+    sig, autos = tops_signature(pure_tops(k))
     if sig == goal:
         return sequence_from_moves(k, ())
     seen = {sig}
-    queue: deque[tuple[frozenset[Simplex], tuple[PachnerMove, ...]]] = deque(
-        [(frozenset(k.top_simplexes()), ())]
-    )
+    queue: deque[
+        tuple[frozenset[Simplex], tuple[PachnerMove, ...], list[dict[int, int]]]
+    ] = deque([(frozenset(k.top_simplexes()), (), autos)])
     nodes = 0
     while queue:
-        tops, path = queue.popleft()
+        tops, path, autos = queue.popleft()
         if len(path) >= max_depth:
             continue
+        covered: set[tuple[Simplex, Simplex]] = set()
         for move in enumerate_moves(Complex.from_maximal(tops)):
             nodes += 1
             if nodes > max_nodes:
-                raise SearchCapExceeded(f"bfs exceeded {max_nodes} expansions")
+                raise SearchCapExceeded(f"bfs tried more than {max_nodes} moves")
+            a, b = move.a, move.b
+            if (a, b) in covered:
+                continue
+            # g.get(v, v) fixes the fresh vertex of a top move
+            for g in autos:
+                covered.add(
+                    (tuple(sorted(map(g.get, a, a))), tuple(sorted(map(g.get, b, b))))
+                )
             removed, added = move_tops(move)
             nxt = tops.difference(removed).union(added)
-            sig = tops_signature(nxt)
+            sig, child_autos = tops_signature(nxt)
             if sig in seen:
                 continue
             seen.add(sig)
             if sig == goal:
                 return sequence_from_moves(k, path + (move,))
-            queue.append((nxt, path + (move,)))
+            queue.append((nxt, path + (move,), child_autos))
     return None

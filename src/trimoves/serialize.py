@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from .complexes import Complex, close_under_faces
+from .complexes import Complex, close_under_faces, simplex
 from .geometry import GeomComplex, Geometry
 from .intersect import CommonSubdivision, PolytopalComplex
 from .pachner import MoveSequence, PachnerMove
@@ -81,9 +81,11 @@ def move_to_dict(m: PachnerMove) -> dict:
 
 
 def move_from_dict(data: dict) -> PachnerMove:
+    """A move whose A and B are canonicalised like a complex's simplexes: an
+    empty, duplicated or negative vertex list is a FormatError."""
     try:
         return PachnerMove(
-            tuple(int(v) for v in data["A"]), tuple(int(v) for v in data["B"])
+            simplex(int(v) for v in data["A"]), simplex(int(v) for v in data["B"])
         )
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"bad move data: {e}") from e

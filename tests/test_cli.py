@@ -114,6 +114,26 @@ class TestPachnerCli:
                          "--max-depth", "-1"]) == 2
             assert "max_depth" in capsys.readouterr().err
 
+    def test_apply_reads_unsorted_move(self, sphere_file, tmp_path):
+        move = tmp_path / "move.json"
+        move.write_text(json.dumps({"A": [3, 2, 1], "B": [5]}))
+        out = tmp_path / "out.json"
+        assert main(["pachner", "apply", "--input", sphere_file, "--move", str(move),
+                     "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["complex"]["vertices"] == [1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("a, b", [([1, 1, 2], [5]), ([], [1, 2, 3, 4]), ([1, 2, 3], [-5])],
+                             ids=["duplicate", "empty", "negative"])
+    def test_apply_bad_move_simplex_exit_2(self, sphere_file, tmp_path, capsys, a, b):
+        # a negative fresh vertex used to be applied and written out
+        move = tmp_path / "move.json"
+        move.write_text(json.dumps({"A": a, "B": b}))
+        out = tmp_path / "out.json"
+        assert main(["pachner", "apply", "--input", sphere_file, "--move", str(move),
+                     "--output", str(out)]) == 2
+        assert "bad move data" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bfs_outside_signature_domain_exit_2(self, sphere_file, tmp_path):
         # three triangles on one edge: no isomorphism signature, so no search
         from trimoves.complexes import close_under_faces

@@ -14,6 +14,7 @@ from trimoves.complexes import (
     find_isomorphism,
     isomorphism_signature,
     join,
+    tops_signature,
 )
 from trimoves.fixtures import grid_torus_complex, random_ball_2d, random_closed_surface
 from trimoves.pachner import apply, enumerate_moves
@@ -419,6 +420,74 @@ class TestIsomorphismSignature:
     def test_outside_domain_rejected(self, maximal):
         with pytest.raises(ValueError):
             isomorphism_signature(close_under_faces(maximal))
+
+
+def fan_disk():
+    """Three triangles around the vertex 0."""
+    return close_under_faces([(0, 1, 2), (0, 2, 3), (0, 3, 4)])
+
+
+def brute_automorphism_count(k):
+    """Oracle: the degree-preserving vertex permutations that map the top
+    simplexes onto themselves."""
+    tops = set(k.top_simplexes())
+    degree = {v: sum(v in t for t in tops) for v in k.vertices()}
+    classes = [[v for v in degree if degree[v] == d] for d in sorted(set(degree.values()))]
+    count = 0
+    for perms in itertools.product(*map(itertools.permutations, classes)):
+        g = dict(zip(itertools.chain(*classes), itertools.chain(*perms)))
+        count += all(tuple(sorted(map(g.__getitem__, t))) in tops for t in tops)
+    return count
+
+
+def assert_automorphism_group(k, tops=None):
+    """Check tops_signature's automorphisms of k, with the top simplexes in
+    the order ``tops``; return the group order."""
+    tops = k.top_simplexes() if tops is None else tops
+    top_set = set(tops)
+    sig, autos = tops_signature(tops)
+    assert sig == isomorphism_signature(k)
+    for g in autos:
+        assert sorted(g) == k.vertices()
+        assert {tuple(sorted(map(g.__getitem__, t))) for t in tops} == top_set
+    # distinct and none the identity, so with it they are the whole group
+    maps = {frozenset(g.items()) for g in autos}
+    assert len(maps) == len(autos)
+    assert frozenset((v, v) for v in k.vertices()) not in maps
+    assert len(autos) + 1 == brute_automorphism_count(k)
+    return len(autos) + 1
+
+
+class TestAutomorphisms:
+    @pytest.mark.parametrize(
+        "make, order",
+        [
+            (boundary_delta3, 24),
+            (lambda: close_under_faces(itertools.combinations(range(5), 4)), 120),
+            (octahedron, 48),
+            (lambda: cycle(5), 10),
+            (lambda: cycle(8), 16),
+            (fan_disk, 2),
+        ],
+        ids=["delta3", "delta4", "octahedron", "cycle5", "cycle8", "fan-disk"],
+    )
+    def test_group_order(self, make, order):
+        assert assert_automorphism_group(make()) == order
+
+    def test_ties_with_a_beaten_stream_are_dropped(self):
+        # in this top order a start ties an early best stream that a later
+        # start beats; the maps from that tie are no automorphisms
+        tops = [(1, 4, 7), (0, 1, 2), (1, 5, 6), (1, 6, 7), (0, 1, 3), (0, 2, 3), (1, 2, 4), (1, 3, 5)]
+        assert assert_automorphism_group(close_under_faces(tops), tops) == 2
+
+    def test_bfs_children_of_a_seeded_surface(self):
+        # every child and a random relabelling of it, against the oracle
+        rng = random.Random(3)
+        orders = set()
+        for k in bfs_children(random_closed_surface(random.Random(4), 4)):
+            orders.add(assert_automorphism_group(k))
+            assert_automorphism_group(random_relabelling(rng, k))
+        assert len(orders) > 1
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 from itertools import combinations
 
 import pytest
@@ -9,11 +10,14 @@ from trimoves.complexes import (
     WorkingComplex,
     boundary_of_simplex,
     close_under_faces,
+    isomorphism_signature,
+    tops_signature,
 )
 from trimoves.fixtures import random_closed_surface as seeded_surface
 from trimoves.pachner import (
     MoveError,
     PachnerMove,
+    SearchCapExceeded,
     applicable,
     apply,
     apply_move_inplace,
@@ -22,6 +26,7 @@ from trimoves.pachner import (
     bfs_equivalence,
     check_applicable,
     enumerate_moves,
+    move_tops,
     sequence_from_moves,
 )
 from .test_complexes import boundary_delta3
@@ -155,14 +160,7 @@ class TestBfs:
         assert seq is not None and len(seq) == 1
 
     def test_two_eight_triangle_spheres(self):
-        k = apply(
-            apply(boundary_delta3(), PachnerMove((1, 2, 3), (5,))),
-            PachnerMove((1, 2, 4), (6,)),
-        )
-        l = apply(
-            apply(boundary_delta3(), PachnerMove((1, 3, 4), (5,))),
-            PachnerMove((2, 3, 4), (6,)),
-        )
+        k, l = two_eight_triangle_spheres()
         seq = bfs_equivalence(k, l, 4, max_nodes=50_000)
         assert seq is not None
         # replay and confirm the endpoint is reached
@@ -182,6 +180,88 @@ class TestBfs:
             bfs_equivalence(bad, boundary_delta3(), 2)
         with pytest.raises(ValueError):
             bfs_equivalence(boundary_delta3(), bad, 2)
+
+
+def two_eight_triangle_spheres():
+    k = apply(
+        apply(boundary_delta3(), PachnerMove((1, 2, 3), (5,))),
+        PachnerMove((1, 2, 4), (6,)),
+    )
+    l = apply(
+        apply(boundary_delta3(), PachnerMove((1, 3, 4), (5,))),
+        PachnerMove((2, 3, 4), (6,)),
+    )
+    return k, l
+
+
+def unpruned_bfs(k, l, max_depth, max_nodes=20_000):
+    """Reference: the breadth-first search without automorphism pruning,
+    trying every move of every node."""
+    goal = isomorphism_signature(l)
+    sig = isomorphism_signature(k)
+    if sig == goal:
+        return sequence_from_moves(k, ())
+    seen = {sig}
+    queue = deque([(frozenset(k.top_simplexes()), ())])
+    nodes = 0
+    while queue:
+        tops, path = queue.popleft()
+        if len(path) >= max_depth:
+            continue
+        for move in enumerate_moves(Complex.from_maximal(tops)):
+            nodes += 1
+            if nodes > max_nodes:
+                raise SearchCapExceeded(f"bfs tried more than {max_nodes} moves")
+            removed, added = move_tops(move)
+            nxt = tops.difference(removed).union(added)
+            sig = tops_signature(nxt)[0]
+            if sig in seen:
+                continue
+            seen.add(sig)
+            if sig == goal:
+                return sequence_from_moves(k, path + (move,))
+            queue.append((nxt, path + (move,)))
+    return None
+
+
+def bfs_outcome(search, k, l, d, max_nodes):
+    try:
+        return search(k, l, d, max_nodes=max_nodes)
+    except SearchCapExceeded:
+        return "cap"
+
+
+def seeded_bfs_cases(monkeypatch, n):
+    """The first n searches built like the benchmark's, at a seed it does not
+    pin: (start, goal, distance)."""
+    workloads = load_workloads(monkeypatch)
+    return [c.args for c in workloads.WORKLOADS["pachner-bfs"].generate(2)[:n]]
+
+
+class TestAutomorphismPruning:
+    def test_same_paths_as_without_pruning(self, monkeypatch):
+        cases = seeded_bfs_cases(monkeypatch, 12) + [two_eight_triangle_spheres() + (4,)]
+        for k, l, d in cases:
+            seq = bfs_equivalence(k, l, d, max_nodes=50_000)
+            assert seq is not None
+            assert seq == unpruned_bfs(k, l, d, max_nodes=50_000)
+
+    def test_cap_hit_at_the_same_move(self, monkeypatch):
+        # pruned moves count as tried, so both searches give up at the same
+        # budgets and return the same path at the others; this search needs
+        # 117 moves
+        ((k, l, d),) = seeded_bfs_cases(monkeypatch, 1)
+        outcomes = set()
+        for max_nodes in range(0, 150, 2):
+            pruned = bfs_outcome(bfs_equivalence, k, l, d, max_nodes)
+            assert pruned == bfs_outcome(unpruned_bfs, k, l, d, max_nodes), max_nodes
+            outcomes.add(pruned == "cap")
+        assert outcomes == {True, False}
+
+    def test_cap_message_counts_moves(self, monkeypatch):
+        ((k, l, d),) = seeded_bfs_cases(monkeypatch, 1)
+        with pytest.raises(SearchCapExceeded, match="tried more than 3 moves"):
+            bfs_equivalence(k, l, d, max_nodes=3)
 
 
 class TestVertexAccounting:

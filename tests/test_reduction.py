@@ -402,6 +402,7 @@ PACHNER_BFS_SHA = {
 # sha256 of the ordered list of all 105 seed-0 pachner-bfs output sha256s,
 # one per line: every path the search returns, in case order
 PACHNER_BFS_ALL_SHA = "53d1c6af330b807e2f43e58a1e9a4517071e34013c533b9790fb3e780d4708ac"
+PACHNER_BFS_ALL_SHA_SEED1 = "c911fa034f8f7911ad486dc679deb6ebc60cc1957ef0494da4ecf66965b64a93"
 TORUS_RELATE_SHA = {
     "grid3-0": "79ab2dc847a7f3da8dbb8509a676957a83f2432502d8ec4bb8a952f0ffbcc620",
 }
@@ -452,16 +453,26 @@ def test_outputs_match_benchmark_reference(monkeypatch, workload, pins):
         assert out.sha == pins[case.label], case.label
 
 
-def test_every_bfs_path_matches_benchmark_reference(monkeypatch):
-    # a change to the signature that merges or splits isomorphism classes,
-    # or to the move order, changes some path and fails here
-    workloads = load_workloads(monkeypatch)
+def bfs_paths_sha(workloads, seed):
+    """sha256 over the ordered op sha256s of one pachner-bfs pass."""
     bench = workloads.WORKLOADS["pachner-bfs"]
-    cases = bench.generate(workloads.DEFAULT_SEED)
+    cases = bench.generate(seed)
     assert len(cases) == 105
     shas = []
     for case in cases:
         out = bench.run(case)
         bench.check(case, out)
         shas.append(out.sha)
-    assert hashlib.sha256("\n".join(shas).encode()).hexdigest() == PACHNER_BFS_ALL_SHA
+    return hashlib.sha256("\n".join(shas).encode()).hexdigest()
+
+
+def test_every_bfs_path_matches_benchmark_reference(monkeypatch):
+    # a change to the signature that merges or splits isomorphism classes,
+    # or to the move order, changes some path and fails here
+    workloads = load_workloads(monkeypatch)
+    assert bfs_paths_sha(workloads, workloads.DEFAULT_SEED) == PACHNER_BFS_ALL_SHA
+
+
+def test_every_seed1_bfs_path_is_unchanged(monkeypatch):
+    # seed 1 searches other surfaces, so it catches what seed 0 happens to miss
+    assert bfs_paths_sha(load_workloads(monkeypatch), 1) == PACHNER_BFS_ALL_SHA_SEED1

@@ -11,6 +11,7 @@ from trimoves.serialize import (
     geom_complex_from_dict,
     geom_complex_to_dict,
     loads,
+    move_from_dict,
     sequence_from_dict,
     sequence_to_dict,
     subdivided_from_dict,
@@ -68,6 +69,24 @@ class TestSequenceFormat:
         data = sequence_to_dict(seq)
         assert data["moves"][0]["fresh"] == [5]
         assert sequence_from_dict(data) == seq
+
+    def test_move_simplexes_canonicalised(self):
+        move = move_from_dict({"A": [3, 2, 1], "B": [5]})
+        assert move == PachnerMove((1, 2, 3), (5,))
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [([1, 1, 2], [5]), ([], [1, 2, 3, 4]), ([1, 2, 3], [-5]), ([1, 2], [2, 4])],
+        ids=["duplicate", "empty", "negative", "overlap"],
+    )
+    def test_bad_move_simplex_rejected(self, a, b):
+        with pytest.raises(FormatError, match="bad move data"):
+            move_from_dict({"A": a, "B": b})
+        k = boundary_delta3()
+        data = sequence_to_dict(sequence_from_moves(k, [PachnerMove((1, 2, 3), (5,))]))
+        data["moves"][0].update(A=a, B=b)
+        with pytest.raises(FormatError, match="bad move data"):
+            sequence_from_dict(data)
 
 
 class TestGeomFormat:
