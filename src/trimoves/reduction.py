@@ -24,7 +24,7 @@ from .geometry import GeomComplex, Geometry, geometric_barycentric
 from .intersect import CommonSubdivision, barycentric_polytopal, torus_intersect
 from .pachner import MoveSequence, PachnerMove, replay_verified
 from .pachner import apply_move_inplace  # noqa: F401  unused; perfbench's tracer patches it here
-from .shelling import ShellingError, find_shelling, star_ball_inplace
+from .shelling import Shelling, ShellingError, find_shelling, star_ball_inplace
 from .subdivision import (
     SubdividedComplex,
     barycentric,
@@ -59,6 +59,9 @@ class ReductionTrace:
     apex_of: dict[Simplex, int] = field(default_factory=dict)
     level_checks: dict[int, str] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
+    # star neighbourhoods shelled by a search, and served by memoized_shelling
+    shellings_searched: int = 0
+    shellings_reused: int = 0
 
 
 def _link_chain_part(work: WorkingComplex, tops_a: list[Simplex], alpha_vertices: set[int]) -> set[Simplex]:
@@ -94,6 +97,36 @@ SHELLING_NODE_CAP = 2_000_000  # node budget of one star-neighbourhood shelling 
 BRIDGE_LAYERS = 2  # barycentric layers beta2_bridge puts on kprime
 
 
+def memoized_shelling(ball: Complex, memo: dict) -> tuple[Optional[Shelling], bool]:
+    """``find_shelling(ball)``, served from ``memo`` when a ball of the same
+    order type was shelled before.  Returns the shelling and whether it was
+    served from the memo.
+
+    The key is ``len(ball)`` with the sorted top simplexes, each vertex
+    replaced by its rank among the vertices of the tops; the memo holds the
+    shelling in ranks.  Two balls with equal rank tops differ by the
+    order-preserving bijection between their top vertices, and
+    ``find_shelling`` commutes with such maps (proof in its docstring), so a
+    hit is the search's own answer.  Only successful shellings are stored,
+    and a search succeeds only on a pure ball, one equal to the closure of
+    its tops.  A ball is downward closed and contains the closure of its
+    tops, whose size the rank tops fix; so a ball with a stored key also
+    equals that closure.  A non-pure ball with a stored ball's tops has more
+    simplexes, misses, and is searched (and rejected) as before.
+    """
+    tops = ball.top_simplexes()
+    vertices = sorted({v for t in tops for v in t})
+    rank = {v: i for i, v in enumerate(vertices)}
+    key = (len(ball), tuple(tuple(rank[v] for v in t) for t in tops))
+    stored = memo.get(key)
+    if stored is not None:
+        return stored.relabel(vertices), True
+    shelling = find_shelling(ball, max_nodes=SHELLING_NODE_CAP)
+    if shelling is not None:
+        memo[key] = shelling.relabel(rank)
+    return shelling, False
+
+
 def alpha_to_beta(
     k: Complex, alpha: SubdividedComplex
 ) -> tuple[MoveSequence, ReductionTrace]:
@@ -101,7 +134,9 @@ def alpha_to_beta(
     subdivision of ``k``, up to the relabelling ``trace.final_isomorphism``.
 
     Raises ReductionError naming S(A) when some star neighbourhood admits
-    no shelling.
+    no shelling.  Each order type of S(A) is searched once per call
+    (``memoized_shelling``); every move is still checked against the
+    working complex, and every level exactly.
     """
     if not k.is_closed_pseudomanifold():
         raise ReductionError("the parent complex must be a closed pseudomanifold")
@@ -121,6 +156,7 @@ def alpha_to_beta(
     trace = ReductionTrace()
     trace.reduction_bound = reduction_sum_bound(n, p, s_counts)
     moves: list[PachnerMove] = []
+    memo: dict = {}  # shellings by order type, for this call only
 
     for r in range(n, 0, -1):
         level_moves = 0
@@ -140,7 +176,11 @@ def alpha_to_beta(
             ball = Complex(ball_simplexes, _assume_closed=True)
             if ball.dimension != n:
                 raise ReductionError(f"S({a}) is not full-dimensional")
-            shelling = find_shelling(ball, max_nodes=SHELLING_NODE_CAP)
+            shelling, reused = memoized_shelling(ball, memo)
+            if reused:
+                trace.shellings_reused += 1
+            else:
+                trace.shellings_searched += 1
             if shelling is None:
                 raise ReductionError(f"S({a}): star neighbourhood is not shellable")
             apex = work.fresh_label()

@@ -183,8 +183,56 @@ def common_subdivision_to_dict(common: CommonSubdivision) -> dict:
     return out
 
 
+_escape = json.encoder.encode_basestring_ascii
+
+
+class _NotPlain(Exception):
+    """A dict key that is not a str: only ``json`` itself sorts and writes
+    such keys the way it does."""
+
+
 def dumps(data: dict) -> str:
-    return json.dumps(data, indent=2, sort_keys=True)
+    """``json.dumps(data, indent=2, sort_keys=True)``, byte for byte.
+
+    With an indent, ``json`` cannot use its C encoder.  This writes dicts,
+    lists and tuples itself, joins a list of plain ints in one ``str.join``,
+    escapes strings with ``json``'s own C escaper and hands every other
+    value (floats, bools, None, subclasses) to ``json.dumps``.  A dict with
+    a key that is not a str sends the whole value to ``json.dumps``."""
+    try:
+        return _encode(data, "\n")
+    except _NotPlain:
+        return json.dumps(data, indent=2, sort_keys=True)
+
+
+def _encode(o, nl: str) -> str:
+    """``o`` as ``json.dumps`` writes it at the indent ``nl`` (a newline and
+    the current indent)."""
+    t = type(o)
+    if t is str:
+        return _escape(o)
+    if t is int:
+        return int.__repr__(o)
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = nl + "  "
+        if any(type(k) is not str for k in o):
+            raise _NotPlain
+        body = ("," + inner).join(
+            [_escape(k) + ": " + _encode(v, inner) for k, v in sorted(o.items())]
+        )
+        return "{" + inner + body + nl + "}"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = nl + "  "
+        if all(type(x) is int for x in o):
+            body = ("," + inner).join(map(int.__repr__, o))
+        else:
+            body = ("," + inner).join([_encode(x, inner) for x in o])
+        return "[" + inner + body + nl + "]"
+    return json.dumps(o)
 
 
 def loads(text: str) -> dict:

@@ -52,6 +52,17 @@ class Shelling:
     def __len__(self) -> int:
         return len(self.steps)
 
+    def relabel(self, m) -> "Shelling":
+        """The shelling with every vertex v replaced by ``m[v]``; an
+        order-preserving ``m`` keeps each simplex sorted."""
+        return Shelling(
+            tuple(
+                ShellingStep(tuple(m[v] for v in s.a), tuple(m[v] for v in s.b))
+                for s in self.steps
+            ),
+            tuple(m[v] for v in self.final),
+        )
+
 
 def boundary_complex(ball: Complex) -> Complex:
     """Closure of the ridges lying in exactly one top simplex."""
@@ -268,6 +279,22 @@ def find_shelling(
     fallback.  Returns None only after exhausting the search space, so a
     None is a certificate of non-shellability; hitting the node cap raises
     SearchCapExceeded instead ("undecided"), never a false negative.
+
+    The result commutes with order-preserving relabellings: for a pure ball
+    and a bijection φ of its vertices with φ(u) < φ(v) whenever u < v, the
+    shelling of φ(ball) is φ applied to the shelling of the ball (or both
+    are None, or both searches raise).  Both passes read vertex labels only
+    through tuple comparisons and set membership, and φ maps sorted tuples
+    to sorted tuples and preserves their lexicographic order:
+    - the greedy heap pops the least pending top, and holds each top at
+      most once, so it pops the same tops in the same order;
+    - ``sorted(bd_ridges)`` and ``candidate_steps`` sort, and splits come
+      from ``combinations`` of sorted tops, so steps are tried in the same
+      order;
+    - the order in which a set yields its members only changes the order of
+      pushes into the heap, and the final set has one member.
+    The purity test, the top count and the node count do not depend on the
+    labels at all.  ``reduction.memoized_shelling`` relies on this.
     """
     # the empty complex has an empty f-vector; it is rejected below
     if ball.simplexes and ball.f_vector()[-1] > 1:

@@ -5,6 +5,7 @@ from decimal import Decimal
 
 import pytest
 
+from trimoves import cli
 from trimoves.bounds import total_bound
 from trimoves.cli import main
 from trimoves.fixtures import circle_complex, grid_torus_complex
@@ -14,6 +15,19 @@ from trimoves.serialize import (
     geom_complex_to_dict,
 )
 from .test_complexes import boundary_delta3
+
+
+@pytest.fixture(autouse=True)
+def json_checked_dumps(monkeypatch):
+    """Every file and report the CLI writes must be the text of
+    json.dumps(indent=2, sort_keys=True), byte for byte."""
+
+    def checked(data):
+        text = dumps(data)
+        assert text == json.dumps(data, indent=2, sort_keys=True)
+        return text
+
+    monkeypatch.setattr(cli, "dumps", checked)
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ import pytest
 from trimoves.bounds import barymoves_bound, reduction_sum_bound, bridge_sum_bound
 from trimoves.complexes import close_under_faces, find_isomorphism
 from trimoves.fixtures import circle_complex, grid_torus_complex
-from trimoves import bounds, reduction
+from trimoves import bounds, reduction, serialize
 from trimoves.pachner import apply_sequence, replay_verified
 from trimoves.reduction import (
     ReductionError,
@@ -22,6 +22,7 @@ from trimoves.subdivision import (
     SubdividedComplex,
     barycentric,
     identity_subdivision,
+    iterated_barycentric,
     skeleton_counts,
 )
 from .test_complexes import boundary_delta3
@@ -155,6 +156,24 @@ class TestAlphaToBeta:
         k = boundary_delta3()
         with pytest.raises(ReductionError, match="after level 2"):
             alpha_to_beta(k, identity_subdivision(k))
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_each_star_neighbourhood_searched_or_reused(self, monkeypatch, m):
+        # one count per S(A), one S(A) per r-simplex of the parent with
+        # r >= 1; only the searches reach find_shelling
+        searched = []
+        real = reduction.find_shelling
+
+        def counting(ball, **kwargs):
+            searched.append(ball)
+            return real(ball, **kwargs)
+
+        monkeypatch.setattr(reduction, "find_shelling", counting)
+        k = grid_torus_complex(3).complex
+        _, trace = alpha_to_beta(k, iterated_barycentric(k, m))
+        assert trace.shellings_searched + trace.shellings_reused == sum(k.f_vector()[1:])
+        assert trace.shellings_searched == len(searched)
+        assert trace.shellings_searched < trace.shellings_reused
 
     def test_unshellable_star_neighbourhood_rejected(self, monkeypatch):
         monkeypatch.setattr(reduction, "find_shelling", lambda ball, **kw: None)
@@ -406,6 +425,30 @@ PACHNER_BFS_ALL_SHA_SEED1 = "c911fa034f8f7911ad486dc679deb6ebc60cc1957ef0494da4e
 TORUS_RELATE_SHA = {
     "grid3-0": "79ab2dc847a7f3da8dbb8509a676957a83f2432502d8ec4bb8a952f0ffbcc620",
 }
+# the same over all 20 sphere-reduce outputs of a pass, at seeds 0 and 1: the
+# m = 3 surfaces and sphere3-m2 repeat most star neighbourhoods, so these pin
+# the shellings that alpha_to_beta serves from its memo
+SPHERE_REDUCE_ALL_SHA = {
+    0: "cc2931a4f62a82086a110d2926ac43198304d32c7c95dc51f46f65b0e2cf94c6",
+    1: "a407f41b6da85dca5a7c191adf2ee81a4db0a790ca7bb3b896feb209066a0335",
+}
+
+
+@pytest.fixture
+def json_checked_dumps(monkeypatch):
+    """serialize.dumps, checked against json.dumps(indent=2, sort_keys=True)
+    on every output the benchmark's workloads write; returns the count."""
+    real = serialize.dumps
+    checked = []
+
+    def dumps(data):
+        text = real(data)
+        assert text == json.dumps(data, indent=2, sort_keys=True)
+        checked.append(1)
+        return text
+
+    monkeypatch.setattr(serialize, "dumps", dumps)
+    return checked
 
 
 def load_workloads(monkeypatch):
@@ -420,7 +463,7 @@ def load_workloads(monkeypatch):
 
 
 @pytest.mark.parametrize("label", sorted(SPHERE_REDUCE_SHA))
-def test_sphere_reduce_matches_benchmark_reference(monkeypatch, label):
+def test_sphere_reduce_matches_benchmark_reference(monkeypatch, json_checked_dumps, label):
     # a change to the step predicate or the greedy order that changes any
     # shelling fails here
     workloads = load_workloads(monkeypatch)
@@ -431,6 +474,7 @@ def test_sphere_reduce_matches_benchmark_reference(monkeypatch, label):
     reference = json.loads((PERFBENCH / "reference.json").read_text())
     assert [out.start, out.end, out.moves] == reference[bench.name][label]
     assert out.sha == SPHERE_REDUCE_SHA[label]
+    assert len(json_checked_dumps) == 1
 
 
 @pytest.mark.parametrize(
@@ -438,7 +482,7 @@ def test_sphere_reduce_matches_benchmark_reference(monkeypatch, label):
     [("pachner-bfs", PACHNER_BFS_SHA), ("torus-relate", TORUS_RELATE_SHA)],
     ids=["pachner-bfs", "torus-relate"],
 )
-def test_outputs_match_benchmark_reference(monkeypatch, workload, pins):
+def test_outputs_match_benchmark_reference(monkeypatch, json_checked_dumps, workload, pins):
     # a change to the order the BFS tries moves in, or to anything relate
     # emits, fails here
     workloads = load_workloads(monkeypatch)
@@ -451,13 +495,14 @@ def test_outputs_match_benchmark_reference(monkeypatch, workload, pins):
         bench.check(case, out)
         assert [out.start, out.end, out.moves] == reference[bench.name][case.label]
         assert out.sha == pins[case.label], case.label
+    assert len(json_checked_dumps) == len(pins)
 
 
-def bfs_paths_sha(workloads, seed):
-    """sha256 over the ordered op sha256s of one pachner-bfs pass."""
-    bench = workloads.WORKLOADS["pachner-bfs"]
+def pass_sha(workloads, name, seed, n_cases):
+    """sha256 over the ordered op sha256s of one pass of a workload."""
+    bench = workloads.WORKLOADS[name]
     cases = bench.generate(seed)
-    assert len(cases) == 105
+    assert len(cases) == n_cases
     shas = []
     for case in cases:
         out = bench.run(case)
@@ -466,13 +511,27 @@ def bfs_paths_sha(workloads, seed):
     return hashlib.sha256("\n".join(shas).encode()).hexdigest()
 
 
-def test_every_bfs_path_matches_benchmark_reference(monkeypatch):
+def test_every_bfs_path_matches_benchmark_reference(monkeypatch, json_checked_dumps):
     # a change to the signature that merges or splits isomorphism classes,
     # or to the move order, changes some path and fails here
     workloads = load_workloads(monkeypatch)
-    assert bfs_paths_sha(workloads, workloads.DEFAULT_SEED) == PACHNER_BFS_ALL_SHA
+    sha = pass_sha(workloads, "pachner-bfs", workloads.DEFAULT_SEED, 105)
+    assert sha == PACHNER_BFS_ALL_SHA
+    assert len(json_checked_dumps) == 105
 
 
-def test_every_seed1_bfs_path_is_unchanged(monkeypatch):
+def test_every_seed1_bfs_path_is_unchanged(monkeypatch, json_checked_dumps):
     # seed 1 searches other surfaces, so it catches what seed 0 happens to miss
-    assert bfs_paths_sha(load_workloads(monkeypatch), 1) == PACHNER_BFS_ALL_SHA_SEED1
+    sha = pass_sha(load_workloads(monkeypatch), "pachner-bfs", 1, 105)
+    assert sha == PACHNER_BFS_ALL_SHA_SEED1
+    assert len(json_checked_dumps) == 105
+
+
+@pytest.mark.parametrize("seed", sorted(SPHERE_REDUCE_ALL_SHA))
+def test_every_sphere_reduce_output_is_unchanged(monkeypatch, json_checked_dumps, seed):
+    # every shelling of every star neighbourhood, whether searched or served
+    # from the memo, and every serialised byte of the pass
+    workloads = load_workloads(monkeypatch)
+    sha = pass_sha(workloads, "sphere-reduce", seed, 20)
+    assert sha == SPHERE_REDUCE_ALL_SHA[seed]
+    assert len(json_checked_dumps) == 20

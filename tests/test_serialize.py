@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trimoves.fixtures import grid_torus_complex
 from trimoves.pachner import PachnerMove, sequence_from_moves
@@ -108,3 +112,48 @@ class TestGeomFormat:
     def test_dumps_sorted_and_stable(self):
         gk = grid_torus_complex(3)
         assert dumps(geom_complex_to_dict(gk)) == dumps(geom_complex_to_dict(gk))
+        assert dumps(geom_complex_to_dict(gk)) == json_dumps(geom_complex_to_dict(gk))
+
+
+def json_dumps(data) -> str:
+    return json.dumps(data, indent=2, sort_keys=True)
+
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=5),
+    max_leaves=30,
+)
+
+
+class TestDumps:
+    @settings(max_examples=300, deadline=None)
+    @given(json_values)
+    def test_equals_json_dumps(self, data):
+        assert dumps(data) == json_dumps(data)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {},
+            [],
+            {"a": [], "b": {}, "c": [[]], "d": [{}]},
+            {"ints": [1, -2, 3], "mixed": [1, True, None, 1.5, "x"]},
+            {"é\n\"": "\u2603\t", "": [float("nan"), float("inf"), -0.0, 1e300]},
+            {"bools": [True, False], "nested": {"x": [[1, 2], [3]]}},
+            (1, (2, 3), [4]),
+            {"big": 2**64 + 1, "neg": -(2**63)},
+            # json sorts and converts keys that are not strs itself
+            {2: [1], 1: "a"},
+            {"a": {None: 1}, "b": {True: 2, 0: 3}},
+            {"a": {1.5: 2}},
+        ],
+    )
+    def test_equals_json_dumps_on_edge_values(self, data):
+        assert dumps(data) == json_dumps(data)

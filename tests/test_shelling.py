@@ -5,9 +5,10 @@ from collections import Counter
 import pytest
 
 from trimoves import reduction
-from trimoves.complexes import Complex, close_under_faces, cone
+from trimoves.complexes import Complex, Isomorphism, close_under_faces, cone
 from trimoves.fixtures import random_closed_surface
 from trimoves.pachner import SearchCapExceeded, apply_sequence
+from trimoves.reduction import memoized_shelling
 from trimoves.shelling import (
     ShellingError,
     _BallState,
@@ -102,20 +103,22 @@ class TestElementarySteps:
 
 def reduction_balls(monkeypatch) -> list[Complex]:
     """Every star neighbourhood S(A) that alpha_to_beta shells on β² of two
-    seeded random surfaces and on β¹ of ∂Δ⁴."""
+    seeded random surfaces and on β¹ of ∂Δ⁴, whether searched or served
+    from its memo: one per r-simplex of each parent, r ≥ 1."""
     balls = []
-    real = reduction.find_shelling
+    real = reduction.memoized_shelling
 
-    def spy(ball, **kwargs):
+    def spy(ball, memo):
         balls.append(ball)
-        return real(ball, **kwargs)
+        return real(ball, memo)
 
-    monkeypatch.setattr(reduction, "find_shelling", spy)
+    monkeypatch.setattr(reduction, "memoized_shelling", spy)
     rng = random.Random(7)
     parents = [(random_closed_surface(rng, 3), 2) for _ in range(2)]
     parents.append((close_under_faces(itertools.combinations(range(5), 4)), 1))
     for k, m in parents:
         reduction.alpha_to_beta(k, iterated_barycentric(k, m))
+    assert len(balls) == sum(sum(k.f_vector()[1:]) for k, _ in parents) == 60
     return balls
 
 
@@ -313,3 +316,66 @@ def test_random_2balls_shellable_and_starrable():
         seq, result = star_via_shelling(ambient, ball)
         assert len(seq) == ball.f_vector()[2]
         assert result.is_closed_pseudomanifold()
+
+
+def order_preserving_maps(rng, vertices, count):
+    """Random maps of the sorted ``vertices`` onto increasing labels."""
+    for _ in range(count):
+        labels = sorted(rng.sample(range(4 * len(vertices)), len(vertices)))
+        yield dict(zip(vertices, labels))
+
+
+def shuffled_map(rng, vertices):
+    labels = rng.sample(range(4 * len(vertices)), len(vertices))
+    return dict(zip(vertices, labels))
+
+
+def memo_oracle_balls(monkeypatch):
+    """The S(A) of reduction_balls, one per distinct ball, and seeded
+    random 2-balls."""
+    rng = random.Random(11)
+    balls = list(dict.fromkeys(reduction_balls(monkeypatch)))
+    balls += [grow_random_2ball(rng, rng.randint(2, 12)) for _ in range(6)]
+    return balls
+
+
+def test_memoized_shelling_is_the_fresh_search_under_relabelling(monkeypatch):
+    # a hit serves φ applied to the stored shelling, which must be exactly
+    # what a fresh search finds on φ(ball); a relabelling that is not
+    # order-preserving still gets a valid shelling (the search's own)
+    rng = random.Random(5)
+    balls = memo_oracle_balls(monkeypatch)
+    assert {ball.dimension for ball in balls} == {2, 3}
+    for ball in balls:
+        memo = {}
+        stored, hit = memoized_shelling(ball, memo)
+        assert not hit and stored == find_shelling(ball)
+        for phi in order_preserving_maps(rng, ball.vertices(), 3):
+            image = Isomorphism(phi).apply(ball)
+            served, hit = memoized_shelling(image, memo)
+            assert hit
+            assert served == find_shelling(image) == stored.relabel(phi)
+        psi = shuffled_map(rng, ball.vertices())
+        image = Isomorphism(psi).apply(ball)
+        served, _ = memoized_shelling(image, memo)
+        assert verify_shelling(image, served)
+        assert served == find_shelling(image)
+
+
+def test_non_pure_ball_with_stored_tops_is_not_served():
+    # the same tops plus an isolated vertex, or plus an edge between two
+    # vertices of the ball: the key's size differs, so the ball is searched
+    # and rejected as find_shelling rejects it
+    ball = barycentric(close_under_faces([(1, 2, 3)])).complex
+    assert (1, 2) not in ball
+    memo = {}
+    assert memoized_shelling(ball, memo)[0] is not None
+    w = ball.max_label() + 1
+    for extra in [(w,)], [(1, 2)]:
+        bad = Complex(ball.simplexes | set(extra), _assume_closed=True)
+        assert bad.top_simplexes() == ball.top_simplexes()
+        with pytest.raises(ValueError, match="pure"):
+            find_shelling(bad)
+        with pytest.raises(ValueError, match="pure"):
+            memoized_shelling(bad, memo)
+    assert len(memo) == 1
