@@ -3,7 +3,9 @@
 A simplex is a strictly increasing tuple of non-negative integer vertex
 labels.  A ``Complex`` is an immutable value holding its full
 downward-closed simplex set, so links, stars and equality are plain set
-operations; every operation returns a new one.  ``WorkingComplex``, the
+operations, and the sorted list of its maximal simplexes, which fixes it
+and is what purity, the pseudomanifold test, the top simplexes and the
+digest read; every operation returns a new one.  ``WorkingComplex``, the
 mutable complex that moves are applied to, holds the maximal simplexes
 and, for every face, the number of maximal simplexes containing it.
 """
@@ -37,32 +39,31 @@ def faces(s: Simplex) -> Iterator[Simplex]:
     return chain.from_iterable(map(combinations, repeat(s), range(1, len(s) + 1)))
 
 
-def proper_faces(s: Simplex) -> Iterator[Simplex]:
-    for k in range(1, len(s)):
-        yield from combinations(s, k)
-
-
 def facets(s: Simplex) -> Iterator[Simplex]:
     """Codimension-one faces of ``s``."""
     return combinations(s, len(s) - 1) if len(s) > 1 else iter(())
 
 
 class Complex:
-    """A finite, downward-closed set of simplexes."""
+    """A finite, downward-closed set of simplexes and its sorted maximal
+    simplexes, found on first use or handed over by a snapshot."""
 
-    __slots__ = ("_simplexes", "_dim", "_byvertex", "_fvec", "_hash")
+    __slots__ = ("_simplexes", "_dim", "_maximal", "_byvertex", "_fvec", "_hash")
 
     def __init__(self, simplexes: Iterable[Simplex], *, _assume_closed: bool = False):
         simps = frozenset(simplexes)
         if not _assume_closed:
+            # facets suffice: by induction on dimension, a set holding every
+            # facet of each of its members holds every face of them
             for s in simps:
                 if not isinstance(s, tuple) or tuple(sorted(set(s))) != s or not s:
                     raise ValueError(f"not a canonical simplex: {s!r}")
-                for f in proper_faces(s):
+                for f in facets(s):
                     if f not in simps:
                         raise ValueError(f"complex not closed under faces: {f} missing from {s}")
         self._simplexes = simps
         self._dim = max((len(s) - 1 for s in simps), default=-1)
+        self._maximal: Optional[tuple[Simplex, ...]] = None
         self._byvertex: Optional[dict[int, frozenset[Simplex]]] = None
         self._fvec: Optional[tuple[int, ...]] = None
         self._hash: Optional[int] = None
@@ -122,16 +123,22 @@ class Complex:
         return sorted(s for s in self._simplexes if len(s) == k + 1)
 
     def top_simplexes(self) -> list[Simplex]:
-        return self.simplexes_of_dim(self._dim)
+        size = self._dim + 1
+        return [m for m in self._maximal_sorted() if len(m) == size]
 
     def maximal_simplexes(self) -> list[Simplex]:
-        """Simplexes not properly contained in any other simplex.  The set is
-        downward-closed, so these are exactly the simplexes that are no
-        simplex's facet."""
-        covered: set[Simplex] = set()
-        for s in self._simplexes:
-            covered.update(combinations(s, len(s) - 1))
-        return sorted(self._simplexes - covered)
+        """Simplexes not properly contained in any other simplex, sorted."""
+        return list(self._maximal_sorted())
+
+    def _maximal_sorted(self) -> tuple[Simplex, ...]:
+        """The cached maximal simplexes.  The set is downward-closed, so
+        these are exactly the simplexes that are no simplex's facet."""
+        if self._maximal is None:
+            covered: set[Simplex] = set()
+            for s in self._simplexes:
+                covered.update(facets(s))
+            self._maximal = tuple(sorted(self._simplexes - covered))
+        return self._maximal
 
     def f_vector(self) -> tuple[int, ...]:
         """(p_0, ..., p_n): count of i-simplexes by dimension."""
@@ -191,34 +198,17 @@ class Complex:
 
     # -- structure tests -------------------------------------------------
 
-    def _tops(self) -> list[Simplex]:
-        """The top simplexes, unsorted."""
-        size = self._dim + 1
-        return [s for s in self._simplexes if len(s) == size]
-
-    def _covered_by(self, tops: list[Simplex]) -> bool:
-        """Whether every simplex is one of ``tops`` or a proper face of one.
-        The set is downward-closed, so this holds exactly when the distinct
-        proper faces of the tops and the tops number as many as the
-        simplexes."""
-        proper: set[Simplex] = set()
-        for j in range(1, self._dim + 1):
-            for t in tops:
-                proper.update(combinations(t, j))
-        return len(proper) + len(tops) == len(self._simplexes)
-
     def is_pure(self) -> bool:
         """Every maximal simplex has the top dimension."""
-        return self._covered_by(self._tops())
+        size = self._dim + 1
+        return all(len(m) == size for m in self._maximal_sorted())
 
     def is_closed_pseudomanifold(self) -> bool:
         """Pure, every ridge in exactly two tops, strongly connected."""
         n = self._dim
-        if n < 1:
+        if n < 1 or not self.is_pure():
             return False
-        tops = self._tops()
-        if not self._covered_by(tops):
-            return False
+        tops = self._maximal_sorted()
         ridge_tops = _ridge_tops(tops)
         if any(len(ts) != 2 for ts in ridge_tops.values()):
             return False
@@ -284,7 +274,7 @@ def cone(apex: int, base: Complex) -> Complex:
 
 def boundary_of_simplex(s: Simplex) -> Complex:
     """∂s: the complex of proper faces of one simplex."""
-    return Complex(set(proper_faces(s)), _assume_closed=True)
+    return Complex(set(faces(s)) - {s}, _assume_closed=True)
 
 
 # -- isomorphism search ----------------------------------------------------
@@ -654,4 +644,8 @@ class WorkingComplex:
         return out
 
     def snapshot(self) -> Complex:
-        return Complex(frozenset(self.count), _assume_closed=True)
+        """The complex as a ``Complex``, handed the maximal simplexes, which
+        ``maximal_at`` holds exactly: ``replace`` adds only maximal ones."""
+        k = Complex(frozenset(self.count), _assume_closed=True)
+        k._maximal = tuple(sorted(set().union(*self.maximal_at.values())))
+        return k

@@ -224,7 +224,10 @@ def replay_verified(
     With ``check_pseudomanifold`` both endpoints must be closed
     pseudomanifolds, ridge degrees are checked at every move (see
     ``apply_moves``) and the whole complex after every tenth of the
-    sequence.
+    sequence.  The whole-complex checks read the maximal simplexes, which
+    are what the digest hashes; on a ``WorkingComplex.snapshot`` they come
+    from the working complex, not from a rescan of the faces.  Every check
+    runs at each point named above.
     """
     if start.digest() != seq.start_digest:
         raise MoveError("start complex does not match sequence start digest")

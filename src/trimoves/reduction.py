@@ -102,22 +102,20 @@ def memoized_shelling(ball: Complex, memo: dict) -> tuple[Optional[Shelling], bo
     order type was shelled before.  Returns the shelling and whether it was
     served from the memo.
 
-    The key is ``len(ball)`` with the sorted top simplexes, each vertex
-    replaced by its rank among the vertices of the tops; the memo holds the
-    shelling in ranks.  Two balls with equal rank tops differ by the
-    order-preserving bijection between their top vertices, and
-    ``find_shelling`` commutes with such maps (proof in its docstring), so a
-    hit is the search's own answer.  Only successful shellings are stored,
-    and a search succeeds only on a pure ball, one equal to the closure of
-    its tops.  A ball is downward closed and contains the closure of its
-    tops, whose size the rank tops fix; so a ball with a stored key also
-    equals that closure.  A non-pure ball with a stored ball's tops has more
-    simplexes, misses, and is searched (and rejected) as before.
+    The key is the sorted maximal simplexes, each vertex replaced by its
+    rank among the ball's vertices; the memo holds the shelling in ranks.  A
+    complex is the closure of its maximal simplexes, so two balls with equal
+    keys differ by the order-preserving bijection between their vertices,
+    and ``find_shelling`` commutes with such maps (proof in its docstring),
+    so a hit is the search's own answer.  Only successful shellings are
+    stored, and only a pure ball has one, so a non-pure ball, whose key has
+    a lower-dimensional maximal simplex, never hits and is searched (and
+    rejected) as before.
     """
-    tops = ball.top_simplexes()
-    vertices = sorted({v for t in tops for v in t})
+    maximal = ball.maximal_simplexes()
+    vertices = sorted({v for m in maximal for v in m})
     rank = {v: i for i, v in enumerate(vertices)}
-    key = (len(ball), tuple(tuple(rank[v] for v in t) for t in tops))
+    key = tuple(tuple(rank[v] for v in m) for m in maximal)
     stored = memo.get(key)
     if stored is not None:
         return stored.relabel(vertices), True

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from trimoves.complexes import (
     Complex,
     Isomorphism,
+    WorkingComplex,
     boundary_of_simplex,
     close_under_faces,
     cone,
@@ -17,7 +18,7 @@ from trimoves.complexes import (
     tops_signature,
 )
 from trimoves.fixtures import grid_torus_complex, random_ball_2d, random_closed_surface
-from trimoves.pachner import apply, enumerate_moves
+from trimoves.pachner import apply, apply_moves, enumerate_moves
 from trimoves.subdivision import barycentric
 
 
@@ -71,8 +72,11 @@ class TestCloseUnderFaces:
         assert len(k) == 5
 
     def test_rejects_open_input(self):
-        with pytest.raises(ValueError):
-            Complex({(1, 2)})
+        # the second misses only the vertex (3,) below two edges, so a
+        # check of facets alone must still find it
+        for simplexes in {(1, 2)}, {(1, 2, 3), (1, 2), (1, 3), (2, 3), (1,), (2,)}:
+            with pytest.raises(ValueError):
+                Complex(simplexes)
 
 
 class TestLinkStar:
@@ -239,30 +243,59 @@ DEGENERATE = {
 }
 
 
+def assert_maximal_cache(snap: Complex) -> None:
+    """The maximal simplexes a snapshot was handed are the sorted result of
+    the face scan, and no caller can change them through a returned list."""
+    scanned = Complex(snap.simplexes, _assume_closed=True)
+    assert snap.maximal_simplexes() == scanned.maximal_simplexes()
+    assert snap.top_simplexes() == scanned.top_simplexes()
+    for returned in snap.maximal_simplexes(), snap.top_simplexes():
+        returned.append((10**6,))
+        returned.reverse()
+    assert snap.maximal_simplexes() == scanned.maximal_simplexes()
+    assert snap.top_simplexes() == scanned.top_simplexes()
+
+
 class TestPurityCount:
-    """``is_pure`` and ``is_closed_pseudomanifold`` decide purity by counting
-    faces; both must agree with the literal definitions."""
+    """``is_pure`` and ``is_closed_pseudomanifold`` read the maximal
+    simplexes, found by a face scan or handed over by a snapshot; both must
+    agree with the literal definitions."""
 
     @pytest.mark.parametrize("name", sorted(DEGENERATE))
     def test_degenerate_inputs(self, name):
         k, pure, closed = DEGENERATE[name]
         assert (literal_pure(k), literal_closed_pseudomanifold(k)) == (pure, closed)
-        assert k.is_pure() == pure
-        assert k.is_closed_pseudomanifold() == closed
+        snap = WorkingComplex(k).snapshot()
+        assert snap == k
+        assert_maximal_cache(snap)
+        for c in k, snap:
+            assert c.is_pure() == pure
+            assert c.is_closed_pseudomanifold() == closed
+        assert snap.digest() == k.digest()
 
     def test_random_surfaces(self):
-        # each seeded surface, its first derived subdivision, and the
-        # surface less one triangle (pure with a boundary)
+        # each seeded surface, its first derived subdivision, the surface
+        # less one triangle (pure with a boundary), and the surface after a
+        # few seeded moves, each also through a snapshot
         rng = random.Random(11)
+        move_rng = random.Random(12)
         for _ in range(30):
             k = random_closed_surface(rng, rng.randint(2, 8))
             beta = barycentric(k).complex
             punctured = Complex(k.simplexes - {k.top_simplexes()[0]}, _assume_closed=True)
-            for c in (k, beta, punctured):
-                assert (c.is_pure(), c.is_closed_pseudomanifold()) == (
-                    literal_pure(c),
-                    literal_closed_pseudomanifold(c),
-                )
+            work = WorkingComplex(k)
+            for _ in range(3):
+                apply_moves(work, [move_rng.choice(enumerate_moves(work.snapshot()))], 2)
+            moved = work.snapshot()
+            assert_maximal_cache(moved)
+            for c in (k, beta, punctured, moved):
+                snap = WorkingComplex(c).snapshot()
+                assert_maximal_cache(snap)
+                for d in c, snap:
+                    assert (d.is_pure(), d.is_closed_pseudomanifold()) == (
+                        literal_pure(c),
+                        literal_closed_pseudomanifold(c),
+                    )
 
 
 class TestIsomorphism:

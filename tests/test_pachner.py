@@ -83,6 +83,10 @@ class TestApply:
         k = close_under_faces([(1, 2, 3), (3, 4)])
         out = apply(k, PachnerMove((1, 2, 3), (5,)))
         assert out == close_under_faces([(1, 2, 5), (1, 3, 5), (2, 3, 5), (3, 4)])
+        # the maximal simplexes the snapshot was handed are the face scan's
+        scanned = Complex(out.simplexes, _assume_closed=True).maximal_simplexes()
+        assert out.maximal_simplexes() == scanned
+        assert (3, 4) in scanned and not out.is_pure()
         with pytest.raises(MoveError, match="link of"):
             apply(k, PachnerMove((3, 4), (5, 6)))
 
