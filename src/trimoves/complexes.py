@@ -8,6 +8,8 @@ and is what purity, the pseudomanifold test, the top simplexes and the
 digest read; every operation returns a new one.  ``WorkingComplex``, the
 mutable complex that moves are applied to, holds the maximal simplexes
 and, for every face, the number of maximal simplexes containing it.
+``top_adjacency`` is the one pairing of top simplexes across ridges: the
+pseudomanifold test, the signature and the shelling boundary read it.
 """
 from __future__ import annotations
 
@@ -62,7 +64,7 @@ class Complex:
                     if f not in simps:
                         raise ValueError(f"complex not closed under faces: {f} missing from {s}")
         self._simplexes = simps
-        self._dim = max((len(s) - 1 for s in simps), default=-1)
+        self._dim = max(map(len, simps), default=0) - 1
         self._maximal: Optional[tuple[Simplex, ...]] = None
         self._byvertex: Optional[dict[int, frozenset[Simplex]]] = None
         self._fvec: Optional[tuple[int, ...]] = None
@@ -205,24 +207,7 @@ class Complex:
 
     def is_closed_pseudomanifold(self) -> bool:
         """Pure, every ridge in exactly two tops, strongly connected."""
-        n = self._dim
-        if n < 1 or not self.is_pure():
-            return False
-        tops = self._maximal_sorted()
-        ridge_tops = _ridge_tops(tops)
-        if any(len(ts) != 2 for ts in ridge_tops.values()):
-            return False
-        # strong connectivity through ridges
-        seen = {tops[0]}
-        stack = [tops[0]]
-        while stack:
-            t = stack.pop()
-            for r in combinations(t, n):
-                for u in ridge_tops[r]:
-                    if u not in seen:
-                        seen.add(u)
-                        stack.append(u)
-        return len(seen) == len(tops)
+        return closed_pseudomanifold(self._maximal_sorted(), self._dim)
 
     # -- serialization helpers ------------------------------------------
 
@@ -237,13 +222,55 @@ class Complex:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
 
-def _ridge_tops(tops: Iterable[Simplex]) -> dict[Simplex, list[Simplex]]:
-    """The top simplexes through each ridge (facet of a top)."""
-    out: dict[Simplex, list[Simplex]] = {}
-    for t in tops:
-        for r in facets(t):
-            out.setdefault(r, []).append(t)
-    return out
+def top_adjacency(tops: Iterable[Simplex]) -> list[dict[int, tuple[int, int]]]:
+    """The ridge pairing of the given top simplexes, indexed by their
+    iteration order: ``across[i][v] = (j, w)`` says top j is across the
+    facet of top i opposite its vertex v, and w is the vertex of top j off
+    that facet.  A facet that lies in no other top has no entry.  ValueError
+    when a ridge lies in more than two of the tops.  A 0-simplex has no
+    facets."""
+    # first[r] is the first top through the ridge r with its vertex off r,
+    # and None once a second top has paired with it
+    across: list[dict[int, tuple[int, int]]] = []
+    first: dict[Simplex, Optional[tuple[int, int]]] = {}
+    for i, t in enumerate(tops):
+        paired: dict[int, tuple[int, int]] = {}
+        across.append(paired)
+        # the facets come in reverse order of their opposite vertices
+        for v, r in zip(reversed(t), facets(t)):
+            here = (i, v)
+            other = first.setdefault(r, here)
+            if other is here:
+                continue
+            if other is None:
+                raise ValueError(f"ridge {r} lies in more than two top simplexes")
+            j, w = other
+            paired[v] = other
+            across[j][w] = here
+            first[r] = None
+    return across
+
+
+def closed_pseudomanifold(tops: Collection[Simplex], n: int) -> bool:
+    """Whether the complex with maximal simplexes ``tops`` is an
+    n-dimensional closed pseudomanifold: n >= 1, every top has n + 1
+    vertices, every ridge lies in exactly two tops (each top is paired across
+    all n + 1 facets) and the tops are strongly connected (one walk across
+    ridges reaches them all)."""
+    if n < 1 or not tops or any(len(t) != n + 1 for t in tops):
+        return False
+    try:
+        across = top_adjacency(tops)
+    except ValueError:
+        return False
+    seen = {0}
+    stack = [0]
+    while stack:
+        for j, _ in across[stack.pop()].values():
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return len(seen) == len(across) and all(len(paired) == n + 1 for paired in across)
 
 
 def close_under_faces(maximal: Iterable[Iterable[int]]) -> Complex:
@@ -485,26 +512,8 @@ def tops_signature(
     by strong connectivity, every vertex, so distinct starts give distinct
     automorphisms and |Aut| = 1 + (number of ties with the final best).
     """
-    # tops[i] is top i; across[i][v] = (j, w): top j is across the facet of
-    # top i opposite v, and w is the vertex of top j off that facet.  first[r]
-    # is the first top through the ridge r with its vertex off r, and None
-    # once a second top has paired with it.  A 0-simplex has no facets.
     tops = list(tops)
-    across: list[dict[int, tuple[int, int]]] = [{} for _ in tops]
-    first: dict[Simplex, Optional[tuple[int, int]]] = {}
-    for i, t in enumerate(tops):
-        # the facets come in reverse order of their opposite vertices
-        for v, r in zip(reversed(t), facets(t)):
-            other = first.get(r, False)
-            if other is False:
-                first[r] = (i, v)
-            elif other is None:
-                raise ValueError(f"ridge {r} lies in more than two top simplexes")
-            else:
-                j, w = other
-                across[i][v] = other
-                across[j][w] = (i, v)
-                first[r] = None
+    across = top_adjacency(tops)
     degree = Counter(chain.from_iterable(tops))
     degrees = [sorted(map(degree.__getitem__, t)) for t in tops]
     least = min(degrees)
@@ -623,7 +632,10 @@ class WorkingComplex:
                 else:
                     count[f] = c - 1
             for v in t:
-                at[v].discard(t)
+                through = at[v]
+                through.discard(t)
+                if not through:
+                    del at[v]
         for t in added:
             for f in faces(t):
                 count[f] = count.get(f, 0) + 1
@@ -643,9 +655,14 @@ class WorkingComplex:
                 out.update(faces(tuple(v for v in m if v not in av)))
         return out
 
+    def maximal(self) -> set[Simplex]:
+        """The maximal simplexes, which ``maximal_at`` holds exactly:
+        ``replace`` adds only maximal ones."""
+        return set().union(*self.maximal_at.values())
+
     def snapshot(self) -> Complex:
-        """The complex as a ``Complex``, handed the maximal simplexes, which
-        ``maximal_at`` holds exactly: ``replace`` adds only maximal ones."""
+        """The complex as a ``Complex``, handed its sorted maximal
+        simplexes."""
         k = Complex(frozenset(self.count), _assume_closed=True)
-        k._maximal = tuple(sorted(set().union(*self.maximal_at.values())))
+        k._maximal = tuple(sorted(self.maximal()))
         return k

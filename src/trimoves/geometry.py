@@ -177,9 +177,6 @@ class GeomSimplex:
     def centroid(self) -> np.ndarray:
         return centroid_coords(self.tag, self.verts)
 
-    def face(self, idx) -> "GeomSimplex":
-        return GeomSimplex(self.tag, self.verts[list(idx)])
-
     def sample_points(self, m: int, rng: np.random.Generator) -> np.ndarray:
         """m points in the simplex, via normalised positive vertex weights."""
         w = rng.gamma(1.0, 1.0, size=(m, self.verts.shape[0]))

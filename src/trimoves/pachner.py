@@ -17,6 +17,7 @@ from .complexes import (
     Complex,
     Simplex,
     WorkingComplex,
+    closed_pseudomanifold,
     isomorphism_signature,
     pure_tops,
     tops_signature,
@@ -224,15 +225,15 @@ def replay_verified(
     With ``check_pseudomanifold`` both endpoints must be closed
     pseudomanifolds, ridge degrees are checked at every move (see
     ``apply_moves``) and the whole complex after every tenth of the
-    sequence.  The whole-complex checks read the maximal simplexes, which
-    are what the digest hashes; on a ``WorkingComplex.snapshot`` they come
-    from the working complex, not from a rescan of the faces.  Every check
-    runs at each point named above.
+    sequence.  The whole-complex checks are ``closed_pseudomanifold`` on the
+    maximal simplexes, which are what the digest hashes; the checks along
+    the way read them from the working complex, so the only snapshot is the
+    end complex.  Every check runs at each point named above.
     """
     if start.digest() != seq.start_digest:
         raise MoveError("start complex does not match sequence start digest")
     n = start.dimension
-    if check_pseudomanifold and not start.is_closed_pseudomanifold():
+    if check_pseudomanifold and not closed_pseudomanifold(start.maximal_simplexes(), n):
         raise MoveError("start complex is not a closed pseudomanifold")
     work = WorkingComplex(start)
     every = max(1, len(seq.moves) // FULL_CHECKS)
@@ -240,10 +241,10 @@ def replay_verified(
         part = seq.moves[i : i + every]
         apply_moves(work, part, n, check_pseudomanifold)
         if check_pseudomanifold and len(part) == every:
-            if not work.snapshot().is_closed_pseudomanifold():
+            if not closed_pseudomanifold(work.maximal(), n):
                 raise MoveError(f"full check failed after move {i + every - 1}")
     out = work.snapshot()
-    if check_pseudomanifold and not out.is_closed_pseudomanifold():
+    if check_pseudomanifold and not closed_pseudomanifold(out.maximal_simplexes(), n):
         raise MoveError("end complex is not a closed pseudomanifold")
     if out.digest() != seq.end_digest:
         raise MoveError("replay did not reproduce the end digest")

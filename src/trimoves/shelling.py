@@ -13,9 +13,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import Iterator, Optional
 
-from .complexes import Complex, Simplex, WorkingComplex, _ridge_tops, faces, facets
+from .complexes import Complex, Simplex, WorkingComplex, faces, facets, top_adjacency
 from .pachner import (
     MoveError,
     MoveSequence,
@@ -65,14 +65,20 @@ class Shelling:
 
 
 def boundary_complex(ball: Complex) -> Complex:
-    """Closure of the ridges lying in exactly one top simplex."""
+    """Closure of the ridges lying in exactly one top simplex; ValueError
+    when a ridge lies in more than two."""
     if not ball.is_pure():
         raise ValueError("boundary of a non-pure complex is not defined here")
-    out: set[Simplex] = set()
-    for r, ts in _ridge_tops(ball.top_simplexes()).items():
-        if len(ts) == 1:
-            out.update(faces(r))
-    return Complex(out, _assume_closed=True)
+    return Complex.from_maximal(_unpaired_facets(ball.top_simplexes()))
+
+
+def _unpaired_facets(tops: list[Simplex]) -> list[Simplex]:
+    """The facets of ``tops`` that lie in no other of them; ValueError when
+    a ridge lies in more than two."""
+    out = []
+    for t, paired in zip(tops, top_adjacency(tops)):
+        out.extend(r for v, r in zip(reversed(t), facets(t)) if v not in paired)
+    return out
 
 
 class _BallState:
@@ -80,42 +86,44 @@ class _BallState:
     boundary, supporting apply/undo of elementary shellings.
 
     ∂M is the closure of the boundary ridges, the ridges in exactly one top
-    simplex.  ``bd_faces`` maps each nonempty face of a boundary ridge to
+    simplex; at the start they are the facets ``top_adjacency`` leaves
+    unpaired.  ``bd_faces`` maps each nonempty face of a boundary ridge to
     the number of boundary ridges that contain it, so a face f lies in ∂M
     exactly when ``f in bd_faces``.  ``_bd_add`` and ``_bd_remove`` keep the
-    counts; both do nothing when the ridge is already in (or out of) the
-    boundary.
+    counts.
+
+    Shedding a valid step t = A ⋆ B changes the boundary on the facets of t
+    alone, as the step itself dictates, so the state keeps no ridge → tops
+    map and a step is its own undo record.  For x ∈ A, t∖{x} is a boundary
+    ridge (step validity), so t is its only top and it leaves the boundary.
+    For x ∈ B, t∖{x} contains A ∉ ∂M, so it is interior; no ridge lies in
+    more than two tops (``top_adjacency`` checks this at the start, and
+    shedding only removes tops), so it lies in exactly one other top and
+    joins the boundary.
     """
 
     def __init__(self, ball: Complex):
         if not ball.is_pure():
             raise ValueError("shelling needs a pure complex")
         self.n = ball.dimension
-        self.tops: set[Simplex] = set(ball.top_simplexes())
-        self.ridge_tops = _ridge_tops(self.tops)
+        tops = ball.top_simplexes()
+        self.tops: set[Simplex] = set(tops)
         self.top_byvertex: dict[int, set[Simplex]] = {}
-        for t in self.tops:
+        for t in tops:
             for v in t:
                 self.top_byvertex.setdefault(v, set()).add(t)
-        if any(len(ts) > 2 for ts in self.ridge_tops.values()):
-            raise ValueError("ridge in more than two top simplexes")
         self.bd_ridges: set[Simplex] = set()
         self.bd_faces: dict[Simplex, int] = {}
-        for r, ts in self.ridge_tops.items():
-            if len(ts) == 1:
-                self._bd_add(r)
+        for r in _unpaired_facets(tops):
+            self._bd_add(r)
 
     def _bd_add(self, r: Simplex) -> None:
-        if r in self.bd_ridges:
-            return
         self.bd_ridges.add(r)
         counts = self.bd_faces
         for f in faces(r):
             counts[f] = counts.get(f, 0) + 1
 
     def _bd_remove(self, r: Simplex) -> None:
-        if r not in self.bd_ridges:
-            return
         self.bd_ridges.remove(r)
         counts = self.bd_faces
         for f in faces(r):
@@ -146,64 +154,41 @@ class _BallState:
                 return False
         return True
 
-    def first_valid_step(self, t: Simplex) -> Optional[ShellingStep]:
-        """First valid (A, B) split of top simplex t, largest dim A first."""
+    def valid_steps(self, t: Simplex) -> Iterator[ShellingStep]:
+        """The valid (A, B) splits of top simplex t, largest dim A first."""
         for k in range(len(t) - 1, 0, -1):
             for a in combinations(t, k):
                 b = tuple(v for v in t if v not in a)
                 if self.step_is_valid(a, b):
-                    return ShellingStep(a, b)
-        return None
+                    yield ShellingStep(a, b)
 
     def candidate_steps(self) -> list[ShellingStep]:
         """Valid steps, restricted to tops owning a boundary ridge (every
         valid step's top has B ⋆ (facet of A) on the boundary).  Ordered by
         largest dim A first, then lexicographically."""
-        cands: set[Simplex] = set()
-        for r in self.bd_ridges:
-            cands.update(self.ridge_tops[r])
-        out = []
-        for t in sorted(cands):
-            for k in range(1, len(t)):
-                for a in combinations(t, k):
-                    b = tuple(v for v in t if v not in a)
-                    if self.step_is_valid(a, b):
-                        out.append(ShellingStep(a, b))
+        bd = self.bd_ridges
+        out = [
+            step
+            for t in self.tops
+            if any(r in bd for r in facets(t))
+            for step in self.valid_steps(t)
+        ]
         out.sort(key=lambda s: (-len(s.a), s.a, s.b))
         return out
 
-    def apply(self, step: ShellingStep) -> list[tuple]:
-        """Shed the step's top simplex; returns an undo record."""
+    def apply(self, step: ShellingStep) -> None:
+        """Shed the top simplex of a valid step."""
         t = step.top
-        undo: list[tuple] = [("top", t)]
         self.tops.discard(t)
-        aset = set(step.a)
-        for r in facets(t):
-            if aset <= set(r):
-                # ridge contains A: survives, loses this top, becomes boundary
-                self.ridge_tops[r].remove(t)
-                undo.append(("ridge_detach", r, t))
-                if len(self.ridge_tops[r]) == 1:
-                    self._bd_add(r)
-                    undo.append(("bd_added", r))
-            else:
-                # ridge contains B: was a boundary ridge, removed entirely
-                self._bd_remove(r)
-                del self.ridge_tops[r]
-                undo.append(("ridge_gone", r, t))
-        return undo
+        for x, r in zip(reversed(t), facets(t)):
+            (self._bd_remove if x in step.a else self._bd_add)(r)
 
-    def undo(self, undo: list[tuple]) -> None:
-        for rec in reversed(undo):
-            if rec[0] == "top":
-                self.tops.add(rec[1])
-            elif rec[0] == "ridge_detach":
-                self.ridge_tops[rec[1]].append(rec[2])
-            elif rec[0] == "bd_added":
-                self._bd_remove(rec[1])
-            elif rec[0] == "ridge_gone":
-                self.ridge_tops[rec[1]] = [rec[2]]
-                self._bd_add(rec[1])
+    def undo(self, step: ShellingStep) -> None:
+        """Put back the top simplex of the step last applied."""
+        t = step.top
+        self.tops.add(t)
+        for x, r in zip(reversed(t), facets(t)):
+            (self._bd_add if x in step.a else self._bd_remove)(r)
 
     def state_key(self) -> frozenset:
         return frozenset(self.tops)
@@ -211,10 +196,7 @@ class _BallState:
 
 def elementary_shellings(ball: Complex) -> list[ShellingStep]:
     """All currently valid elementary shellings of a pure complex."""
-    state = _BallState(ball)
-    if not state.bd_ridges:
-        return []
-    return state.candidate_steps()
+    return _BallState(ball).candidate_steps()
 
 
 def _greedy_shelling(state: _BallState) -> Optional[Shelling]:
@@ -248,7 +230,7 @@ def _greedy_shelling(state: _BallState) -> Optional[Shelling]:
             seen_push.discard(t)
             if t not in state.tops:
                 continue
-            step = state.first_valid_step(t)
+            step = next(state.valid_steps(t), None)
             if step is None:
                 continue
             state.apply(step)
@@ -310,7 +292,7 @@ def find_shelling(
     failed: set[frozenset] = set()
     path: list[ShellingStep] = []
     # iterative DFS; each frame holds (candidate iterator for the current
-    # state, undo record of the step that entered it)
+    # state, the step that entered it, which undoes itself)
     stack: list[tuple] = [(iter(state.candidate_steps()), None)]
     nodes = 0
     while stack:
@@ -327,15 +309,15 @@ def find_shelling(
         nodes += 1
         if nodes > max_nodes:
             raise SearchCapExceeded(f"shelling search exceeded {max_nodes} nodes")
-        undo_rec = state.apply(step)
+        state.apply(step)
         path.append(step)
         if len(state.tops) == 1:
             return Shelling(tuple(path), next(iter(state.tops)))
         if state.state_key() in failed:
-            state.undo(undo_rec)
+            state.undo(step)
             path.pop()
             continue
-        stack.append((iter(state.candidate_steps()), undo_rec))
+        stack.append((iter(state.candidate_steps()), step))
     return None
 
 

@@ -11,6 +11,7 @@ from trimoves.complexes import (
     WorkingComplex,
     boundary_of_simplex,
     close_under_faces,
+    closed_pseudomanifold,
     cone,
     find_isomorphism,
     isomorphism_signature,
@@ -259,7 +260,8 @@ def assert_maximal_cache(snap: Complex) -> None:
 class TestPurityCount:
     """``is_pure`` and ``is_closed_pseudomanifold`` read the maximal
     simplexes, found by a face scan or handed over by a snapshot; both must
-    agree with the literal definitions."""
+    agree with the literal definitions, and so must ``closed_pseudomanifold``
+    on the maximal simplexes a working complex holds."""
 
     @pytest.mark.parametrize("name", sorted(DEGENERATE))
     def test_degenerate_inputs(self, name):
@@ -271,6 +273,7 @@ class TestPurityCount:
         for c in k, snap:
             assert c.is_pure() == pure
             assert c.is_closed_pseudomanifold() == closed
+        assert closed_pseudomanifold(WorkingComplex(k).maximal(), k.dimension) == closed
         assert snap.digest() == k.digest()
 
     def test_random_surfaces(self):
@@ -296,6 +299,9 @@ class TestPurityCount:
                         literal_pure(c),
                         literal_closed_pseudomanifold(c),
                     )
+                assert closed_pseudomanifold(
+                    WorkingComplex(c).maximal(), c.dimension
+                ) == literal_closed_pseudomanifold(c)
 
 
 class TestIsomorphism:

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from trimoves import reduction, subdivision
+from trimoves import pachner, reduction, subdivision
 from trimoves.complexes import (
     Complex,
     WorkingComplex,
@@ -28,6 +28,7 @@ from trimoves.pachner import (
     check_applicable,
     enumerate_moves,
     move_tops,
+    replay_verified,
     sequence_from_moves,
 )
 from .test_complexes import boundary_delta3
@@ -329,6 +330,36 @@ class TestReplayVerified:
         with pytest.raises(MoveError):
             replay_verified(disk, seq)
         replay_verified(disk, seq, check_pseudomanifold=False)
+
+    def test_full_checks_at_start_every_complete_tenth_and_end(self, monkeypatch):
+        # 23 seeded moves: a whole-complex check after every 2, so at the
+        # start, after moves 1, 3, ..., 21 (the 23rd move's part is short)
+        # and at the end, each on the working complex of that moment
+        rng = random.Random(3)
+        complexes = [self.k]
+        moves = []
+        for _ in range(23):
+            moves.append(rng.choice(enumerate_moves(complexes[-1])))
+            complexes.append(apply(complexes[-1], moves[-1]))
+        seq = sequence_from_moves(self.k, moves)
+        real = pachner.closed_pseudomanifold
+        checked = []
+        fail_at = None
+
+        def spy(tops, n):
+            checked.append(sorted(tops))
+            return real(tops, n) and len(checked) != fail_at
+
+        monkeypatch.setattr(pachner, "closed_pseudomanifold", spy)
+        replay_verified(self.k, seq)
+        want = [complexes[0]] + complexes[2:24:2] + [complexes[23]]
+        assert checked == [c.maximal_simplexes() for c in want]
+        assert len(checked) == 13
+        checked.clear()
+        fail_at = 3
+        with pytest.raises(MoveError, match=r"^full check failed after move 3$"):
+            replay_verified(self.k, seq)
+        assert len(checked) == 3
 
 
 class TestRidgeCheck:

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from trimoves.bounds import barymoves_bound, reduction_sum_bound, bridge_sum_bound
-from trimoves.complexes import close_under_faces, find_isomorphism
+from trimoves.complexes import WorkingComplex, close_under_faces, find_isomorphism
 from trimoves.fixtures import circle_complex, grid_torus_complex
 from trimoves import bounds, reduction, serialize
-from trimoves.pachner import apply_sequence, replay_verified
+from trimoves.pachner import apply_moves, apply_sequence, replay_verified
 from trimoves.reduction import (
     ReductionError,
     alpha_to_beta,
@@ -460,6 +460,22 @@ def load_workloads(monkeypatch):
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
     spec.loader.exec_module(workloads)
     return workloads
+
+
+def test_maximal_at_forgets_the_vertices_a_reduction_removes(monkeypatch):
+    # a vertex leaves maximal_at with its last maximal simplex, so after a
+    # replayed reduction its keys are the vertices of the complex
+    workloads = load_workloads(monkeypatch)
+    bench = workloads.SphereReduce()
+    (case,) = [c for c in bench.generate(workloads.DEFAULT_SEED) if c.label == "surface0-m1"]
+    k, m = case.args
+    alpha = iterated_barycentric(k, m)
+    seq, _ = alpha_to_beta(k, alpha)
+    assert seq.removed_vertices()
+    work = WorkingComplex(alpha.complex)
+    apply_moves(work, seq.moves, k.dimension)
+    assert all(work.maximal_at.values())
+    assert sorted(work.maximal_at) == work.snapshot().vertices()
 
 
 @pytest.mark.parametrize("label", sorted(SPHERE_REDUCE_SHA))

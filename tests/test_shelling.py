@@ -73,6 +73,14 @@ class TestBoundary:
         with pytest.raises(ValueError):
             boundary_complex(close_under_faces([(1, 2, 3), (4, 5)]))
 
+    def test_ridge_in_three_tops_rejected(self):
+        # the edge (1, 2) lies in three triangles, so they form no ball;
+        # the error names the ridge
+        fan = close_under_faces([(1, 2, 3), (1, 2, 4), (1, 2, 5)])
+        for reader in boundary_complex, find_shelling:
+            with pytest.raises(ValueError, match=r"ridge \(1, 2\) lies in more than two"):
+                reader(fan)
+
 
 class TestElementarySteps:
     def test_single_simplex_terminal(self):
@@ -131,7 +139,8 @@ def test_step_predicate_matches_oracle_along_shellings(monkeypatch):
     # at every state of each greedy shelling, the lookup form of the step
     # test equals the face-by-face definition on every split of every top;
     # applying and undoing every candidate step (the DFS's moves) keeps the
-    # boundary-face counts equal to a recount
+    # boundary-face counts equal to a recount, and undoing restores the tops
+    # and the boundary ridges
     balls = reduction_balls(monkeypatch)
     assert {ball.dimension for ball in balls} == {2, 3}
     for ball in balls:
@@ -147,12 +156,12 @@ def test_step_predicate_matches_oracle_along_shellings(monkeypatch):
             if step is None:
                 break
             for candidate in state.candidate_steps():
-                before = dict(state.bd_faces)
-                undo = state.apply(candidate)
+                before = dict(state.bd_faces), set(state.tops), set(state.bd_ridges)
+                state.apply(candidate)
                 assert_counts_match(state)
-                state.undo(undo)
+                state.undo(candidate)
                 assert_counts_match(state)
-                assert state.bd_faces == before
+                assert (state.bd_faces, state.tops, state.bd_ridges) == before
             state.apply(step)
         assert state.tops == {shelling.final}
 
@@ -364,8 +373,9 @@ def test_memoized_shelling_is_the_fresh_search_under_relabelling(monkeypatch):
 
 def test_non_pure_ball_with_stored_tops_is_not_served():
     # the same tops plus an isolated vertex, or plus an edge between two
-    # vertices of the ball: the key's size differs, so the ball is searched
-    # and rejected as find_shelling rejects it
+    # vertices of the ball: the key, the maximal simplexes in ranks, then
+    # holds that vertex or edge as a lower-dimensional maximal simplex, so
+    # the ball is searched and rejected as find_shelling rejects it
     ball = barycentric(close_under_faces([(1, 2, 3)])).complex
     assert (1, 2) not in ball
     memo = {}
