@@ -18,9 +18,11 @@ from typing import Optional
 import mpmath as mp
 
 from .geometry import Geometry
+from .subdivision import ResourceCapExceeded
 
 DPS = 50
 _GUARD = 10  # extra working digits
+MAX_BOUND_DIGITS = 1_000_000  # decimal digits of the largest bound evaluated exactly
 
 
 def _mpf(x) -> mp.mpf:
@@ -91,17 +93,44 @@ def convexity_radius_chain(l_c: Fraction) -> tuple[Fraction, Fraction]:
     return inj / 2, inj
 
 
+def _check_digits(name: str, n: int, exponent: int, log10_rest: float) -> None:
+    """Raise ResourceCapExceeded unless (n+1)!^exponent times a factor with
+    base-10 logarithm ``log10_rest`` has at most MAX_BOUND_DIGITS digits.
+
+    The digit count floor(log10 x) + 1 is predicted in floats before the
+    power is built.  (n+1)! >= 2 adds more than a quarter digit per unit of
+    exponent, so a larger exponent than 4 * MAX_BOUND_DIGITS is over the cap
+    and is never converted to a float."""
+    if exponent > 4 * MAX_BOUND_DIGITS:
+        log10_x = math.inf
+    else:
+        log10_x = exponent * math.lgamma(n + 2) / math.log(10) + log10_rest
+    if log10_x >= MAX_BOUND_DIGITS:
+        raise ResourceCapExceeded(
+            f"{name} would have more than {MAX_BOUND_DIGITS} digits "
+            f"((n+1)! to the power {exponent}, n = {n})"
+        )
+
+
 def total_bound(n: int, p: int, q: int, mprime: int) -> int:
-    """2^n (n+1)!^(4+3m') p q (p+q), exactly."""
+    """2^n (n+1)!^(4+3m') p q (p+q), exactly; ResourceCapExceeded when it
+    would have more than MAX_BOUND_DIGITS digits."""
     if min(n, p, q, mprime) <= 0:
         raise ValueError("all arguments must be positive")
-    return 2**n * math.factorial(n + 1) ** (4 + 3 * mprime) * p * q * (p + q)
+    exponent = 4 + 3 * mprime
+    _check_digits(
+        "total_bound", n, exponent,
+        n * math.log10(2) + math.log10(p) + math.log10(q) + math.log10(p + q),
+    )
+    return 2**n * math.factorial(n + 1) ** exponent * p * q * (p + q)
 
 
 def barymoves_bound(n: int, m: int, p: int) -> int:
-    """(n+1)!^(2m+2) p^2, exactly."""
+    """(n+1)!^(2m+2) p^2, exactly; ResourceCapExceeded when it would have
+    more than MAX_BOUND_DIGITS digits."""
     if n <= 0 or m < 0 or p <= 0:
         raise ValueError("need n, p positive and m non-negative")
+    _check_digits("barymoves_bound", n, 2 * m + 2, 2 * math.log10(p))
     return math.factorial(n + 1) ** (2 * m + 2) * p * p
 
 

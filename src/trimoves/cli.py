@@ -56,6 +56,7 @@ from .serialize import (
 )
 from .shelling import ShellingError, find_shelling, star_via_shelling, verify_shelling
 from .subdivision import (
+    MAX_SIMPLEXES,
     ResourceCapExceeded,
     barycentric,
     identity_subdivision,
@@ -413,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("subdivide", help="barycentric / partial / iterated / geometric")
     p.add_argument("--input", required=True)
     p.add_argument("--mode", required=True, help="bary | partial:r | iterated:m | geometric:m")
-    p.add_argument("--max-simplexes", type=int, default=2_000_000,
+    p.add_argument("--max-simplexes", type=int, default=MAX_SIMPLEXES,
                    help="abort with exit code 3 past this simplex count")
     p.add_argument("--output")
     p.set_defaults(func=cmd_subdivide)

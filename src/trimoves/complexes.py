@@ -6,8 +6,8 @@ downward-closed simplex set, so links, stars and equality are plain set
 operations, and the sorted list of its maximal simplexes, which fixes it
 and is what purity, the pseudomanifold test, the top simplexes and the
 digest read; every operation returns a new one.  ``WorkingComplex``, the
-mutable complex that moves are applied to, holds the maximal simplexes
-and, for every face, the number of maximal simplexes containing it.
+mutable complex that moves are applied to, holds only its maximal
+simplexes, indexed by vertex, and answers every face query from them.
 ``top_adjacency`` is the one pairing of top simplexes across ridges: the
 pseudomanifold test, the signature and the shelling boundary read it.
 """
@@ -589,30 +589,33 @@ def _walk_records(
 
 
 class WorkingComplex:
-    """Mutable complex stored as its maximal simplexes with face counts,
+    """Mutable complex stored as its maximal simplexes, indexed by vertex,
     after the maximal-simplex representation of Boissonnat, Karthik C. S.
-    and Tavenas (Algorithmica 2017).
-
-    ``count[f]`` is the number of maximal simplexes containing the face f,
-    so its keys are exactly the simplexes of the complex, each with a count
-    of at least one.  ``maximal_at[v]`` holds the maximal simplexes through
-    the vertex v and serves link queries.  Moves mutate the complex in place
-    through ``replace``; ``snapshot`` freezes it back into a ``Complex``.
+    and Tavenas (Algorithmica 2017): ``maximal_at[v]`` holds the maximal
+    simplexes through v, and every face query reads it through ``through``.
+    Moves mutate the complex in place through ``replace``; ``snapshot``
+    freezes it back into a ``Complex``.
     """
 
-    __slots__ = ("count", "maximal_at", "next_label")
+    __slots__ = ("maximal_at", "next_label")
 
     def __init__(self, k: Complex, *, reserve_above: int = -1):
-        self.count: dict[Simplex, int] = {}
         self.maximal_at: dict[int, set[Simplex]] = {}
         self.replace((), k.maximal_simplexes())
         self.next_label = max(k.max_label(), reserve_above) + 1
 
     def __contains__(self, s) -> bool:
-        return s in self.count
+        return bool(self.through(s))
 
-    def __len__(self) -> int:
-        return len(self.count)
+    def through(self, f: Simplex) -> set[Simplex]:
+        """The maximal simplexes containing the nonempty face f: the
+        intersection of ``maximal_at[v]`` over v in f, empty when some
+        vertex of f is absent."""
+        at = self.maximal_at
+        try:
+            return set.intersection(*[at[v] for v in f])
+        except KeyError:
+            return set()
 
     def fresh_label(self) -> int:
         v = self.next_label
@@ -622,23 +625,14 @@ class WorkingComplex:
     def replace(self, removed: Iterable[Simplex], added: Iterable[Simplex]) -> None:
         """Drop the maximal simplexes ``removed``, then add ``added``, which
         the caller guarantees are maximal in the result."""
-        count = self.count
         at = self.maximal_at
         for t in removed:
-            for f in faces(t):
-                c = count[f]
-                if c == 1:
-                    del count[f]
-                else:
-                    count[f] = c - 1
             for v in t:
                 through = at[v]
                 through.discard(t)
                 if not through:
                     del at[v]
         for t in added:
-            for f in faces(t):
-                count[f] = count.get(f, 0) + 1
             for v in t:
                 if v in at:
                     at[v].add(t)
@@ -650,9 +644,8 @@ class WorkingComplex:
         maximal simplexes m containing a."""
         av = set(a)
         out: set[Simplex] = set()
-        for m in min((self.maximal_at.get(v, ()) for v in a), key=len):
-            if av.issubset(m):
-                out.update(faces(tuple(v for v in m if v not in av)))
+        for m in self.through(a):
+            out.update(faces(tuple(v for v in m if v not in av)))
         return out
 
     def maximal(self) -> set[Simplex]:
@@ -661,8 +654,9 @@ class WorkingComplex:
         return set().union(*self.maximal_at.values())
 
     def snapshot(self) -> Complex:
-        """The complex as a ``Complex``, handed its sorted maximal
-        simplexes."""
-        k = Complex(frozenset(self.count), _assume_closed=True)
-        k._maximal = tuple(sorted(self.maximal()))
+        """The complex as a ``Complex``: the faces of the maximal simplexes,
+        handed their sorted list."""
+        maximal = self.maximal()
+        k = Complex(chain.from_iterable(map(faces, maximal)), _assume_closed=True)
+        k._maximal = tuple(sorted(maximal))
         return k

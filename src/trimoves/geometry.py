@@ -21,7 +21,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .complexes import Complex, Simplex
-from .subdivision import ResourceCapExceeded, barycentric, barycentric_f_vector
+from .subdivision import MAX_SIMPLEXES, ResourceCapExceeded, barycentric, barycentric_f_vector
 
 NORM_TOL = 1e-12
 CHECK_TOL = 1e-9
@@ -411,7 +411,7 @@ class GeomComplex:
 
 
 def geometric_barycentric(
-    gk: GeomComplex, m: int, *, max_simplexes: int = 2_000_000
+    gk: GeomComplex, m: int, *, max_simplexes: int = MAX_SIMPLEXES
 ) -> GeomComplex:
     """Geometric β^m: barycenter vertices are placed at simplex centroids.
 
@@ -482,7 +482,17 @@ def batch_max_edge(tag: Geometry, sims: np.ndarray) -> float:
 
 
 def scaling_levels(simplex: GeomSimplex, m: int) -> Iterator[tuple[int, int, float]]:
-    """Yield (level, simplex count, max edge) for β^0 .. β^m of one simplex."""
+    """Yield (level, simplex count, max edge) for β^0 .. β^m of one simplex.
+    Raises ResourceCapExceeded before any build when β^m, with (n+1)!^m
+    simplexes, would have more than MAX_SIMPLEXES."""
+    per_level = math.factorial(simplex.verts.shape[0])
+    # per_level >= 2 gives 2^64 > MAX_SIMPLEXES, so the exponent cap at 64
+    # keeps the comparison exact and the power small
+    if per_level ** min(m, 64) > MAX_SIMPLEXES:
+        raise ResourceCapExceeded(
+            f"β^{m} of one simplex would have {per_level}^{m} simplexes, "
+            f"above the cap {MAX_SIMPLEXES}"
+        )
     sims = simplex.verts[None, :, :]
     yield 0, 1, batch_max_edge(simplex.tag, sims)
     for level in range(1, m + 1):

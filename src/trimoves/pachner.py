@@ -106,25 +106,26 @@ def check_applicable(
     """Raise MoveError unless κ(a, b) applies to the working complex;
     return its ``move_tops``.
 
-    Past the dimension check this takes |b| + 2 face-count lookups: a is
-    present with count[a] = |b|, b is absent, and each a ⋆ (b ∖ {x}) is
-    present.  Then lk(a) = ∂b: each a ⋆ (b ∖ {x}) has n + 1 vertices, so it
-    is maximal, and count[a] = |b| says these |b| are all the maximal
-    simplexes containing a, so lk(a) is the closure of the sets b ∖ {x},
-    which is ∂b.  Conversely lk(a) = ∂b gives exactly these maximal
-    simplexes through a.  Nothing here assumes the complex is pure.
+    Past the dimension check this is the link condition lk(a) = ∂b, b ∉ K,
+    stated on maximal simplexes: ``through(a)`` is exactly the tops
+    a ⋆ (b ∖ {x}), x ∈ b, and ``through(b)`` is empty.  The map c ↦ a ∪ c
+    is an inclusion-preserving bijection from lk(a), with the empty face,
+    onto the simplexes through a, so it sends the maximal faces of lk(a) to
+    ``through(a)`` (the empty face is the one maximal face when a itself is
+    maximal).  A complex is fixed by its maximal faces, and those of ∂b are
+    the sets b ∖ {x}, so lk(a) = ∂b exactly when ``through(a)`` is the set
+    of tops above.  Nothing here assumes the complex is pure.
     """
     a, b = move.a, move.b
     if (len(a) - 1) + (len(b) - 1) != n:
         raise MoveError(f"dim {a} + dim {b} != {n}")
-    count = work.count
-    through_a = count.get(a, 0)
+    through_a = work.through(a)
     if not through_a:
         raise MoveError(f"move simplex {a} absent")
-    if b in count:
+    if b in work:
         raise MoveError(f"inserted simplex {b} already present")
     removed, added = move_tops(move)
-    if through_a != len(b) or any(t not in count for t in removed):
+    if through_a != set(removed):
         raise MoveError(f"link of {a} is not the boundary of {b}")
     return removed, added
 
@@ -160,18 +161,16 @@ def apply_moves(
     come out in exactly two n-simplexes, or in none once it has left the
     complex, so a purity or degree defect is caught at the move that creates
     it.  A ridge that stays is a face of an added n-simplex, so it is not
-    maximal and ``count`` gives its cofacets.  A ridge left behind without
-    cofacets cannot occur: every simplex of the complex lies in a maximal
-    simplex, and a ridge leaves ``count`` with the last one.
+    maximal and ``through`` gives its cofacets; none are left exactly when
+    the ridge has left, since every simplex lies in a maximal simplex.
     """
-    count = work.count
     for m in moves:
         removed, added = apply_move_inplace(work, m, n)
         if not check_ridges:
             continue
         for t in removed + added:
             for r in combinations(t, n):
-                c = count.get(r, 0)
+                c = len(work.through(r))
                 if c != 0 and c != 2:
                     raise MoveError(
                         f"move κ({m.a}, {m.b}): ridge {r} has {c} cofacets; "
@@ -190,18 +189,19 @@ def sequence_from_moves(start: Complex, moves: Iterable[PachnerMove]) -> MoveSeq
 def enumerate_moves(k: Complex) -> list[PachnerMove]:
     """All applicable moves, ordered by (dim a, a) for determinism.  The
     candidate B is a fresh vertex for an n-simplex a, else the vertex set of
-    lk(a), and must pass ``check_applicable``, which needs count[a] = |B| =
-    n + 2 − |a|."""
+    lk(a), and must pass ``check_applicable``, which needs |B| = n + 2 − |a|
+    maximal simplexes through a."""
     work = WorkingComplex(k)
     n = k.dimension
     out = []
     for a in sorted(k.simplexes, key=lambda s: (len(s), s)):
-        if work.count[a] != n + 2 - len(a):
+        through = work.through(a)
+        if len(through) != n + 2 - len(a):
             continue
         if len(a) == n + 1:
             b = (work.next_label,)
         else:
-            b = tuple(sorted({v for s in work.link_simplexes(a) for v in s}))
+            b = tuple(sorted(set().union(*through).difference(a)))
         try:
             check_applicable(work, PachnerMove(a, b), n)
         except MoveError:

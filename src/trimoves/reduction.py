@@ -224,23 +224,32 @@ def _check_level(
     """Require the working complex, relabelled by the apex map, to equal the
     partial subdivision at level r (the barycentric subdivision at r = 0,
     where vertices carried by parent vertices also map to those vertices).
-    Returns the relabelling."""
+    Returns the relabelling.
+
+    Checking that the relabelling φ is injective on the vertices of the
+    working complex K and sends its maximal simplexes onto the reference's
+    is exactly the face-set test φ(K) = R with |φ(K)| = |K|: the size
+    condition is injectivity on the faces, which is injectivity on the
+    vertices, and an injective φ preserves inclusion both ways, so it maps
+    the maximal simplexes of K onto those of φ(K), which fix φ(K).
+    """
     reference = partial_relative(k, alpha, r) if r >= 1 else barycentric(k)
     relabel = {apex: reference.apex_of[a] for a, apex in trace.apex_of.items()}
     if r == 0:
         relabel.update(kvertex_of)
-    got = {tuple(sorted(relabel.get(v, v) for v in s)) for s in work.count}
-    want = reference.complex.simplexes
+    vertices = work.maximal_at.keys()
+    if len({relabel.get(v, v) for v in vertices}) != len(vertices):
+        raise ReductionError(f"after level {r + 1}: the apex map is not injective")
+    got = {tuple(sorted(relabel.get(v, v) for v in m)) for m in work.maximal()}
+    want = set(reference.complex.maximal_simplexes())
     if got != want:
         wrong = min(got ^ want, key=lambda s: (len(s), s))
         where = (
-            f"{wrong} of the level-{r} reference is missing from the relabelled complex"
+            f"maximal simplex {wrong} of the level-{r} reference is missing from the relabelled complex"
             if wrong in want
-            else f"relabelled simplex {wrong} is not in the level-{r} reference"
+            else f"relabelled maximal simplex {wrong} is not in the level-{r} reference"
         )
         raise ReductionError(f"after level {r + 1}: {where}")
-    if len(got) != len(work):
-        raise ReductionError(f"after level {r + 1}: the apex map is not injective")
     trace.level_checks[r] = "exact"
     return relabel
 

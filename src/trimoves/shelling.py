@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Optional
 
-from .complexes import Complex, Simplex, WorkingComplex, faces, facets, top_adjacency
+from .complexes import Complex, Simplex, WorkingComplex, facets, top_adjacency
 from .pachner import (
     MoveError,
     MoveSequence,
@@ -87,10 +87,9 @@ class _BallState:
 
     ∂M is the closure of the boundary ridges, the ridges in exactly one top
     simplex; at the start they are the facets ``top_adjacency`` leaves
-    unpaired.  ``bd_faces`` maps each nonempty face of a boundary ridge to
-    the number of boundary ridges that contain it, so a face f lies in ∂M
-    exactly when ``f in bd_faces``.  ``_bd_add`` and ``_bd_remove`` keep the
-    counts.
+    unpaired.  ``boundary`` is ∂M as a ``WorkingComplex`` whose maximal
+    simplexes are the boundary ridges, so a face f lies in ∂M exactly when
+    ``f in boundary``.
 
     Shedding a valid step t = A ⋆ B changes the boundary on the facets of t
     alone, as the step itself dictates, so the state keeps no ridge → tops
@@ -99,7 +98,8 @@ class _BallState:
     For x ∈ B, t∖{x} contains A ∉ ∂M, so it is interior; no ridge lies in
     more than two tops (``top_adjacency`` checks this at the start, and
     shedding only removes tops), so it lies in exactly one other top and
-    joins the boundary.
+    joins the boundary.  Apply and undo are each one ``replace`` of these
+    two sets of ridges.
     """
 
     def __init__(self, ball: Complex):
@@ -112,25 +112,13 @@ class _BallState:
         for t in tops:
             for v in t:
                 self.top_byvertex.setdefault(v, set()).add(t)
-        self.bd_ridges: set[Simplex] = set()
-        self.bd_faces: dict[Simplex, int] = {}
-        for r in _unpaired_facets(tops):
-            self._bd_add(r)
+        self.boundary = WorkingComplex(Complex.empty())
+        self.boundary.replace((), _unpaired_facets(tops))
 
-    def _bd_add(self, r: Simplex) -> None:
-        self.bd_ridges.add(r)
-        counts = self.bd_faces
-        for f in faces(r):
-            counts[f] = counts.get(f, 0) + 1
-
-    def _bd_remove(self, r: Simplex) -> None:
-        self.bd_ridges.remove(r)
-        counts = self.bd_faces
-        for f in faces(r):
-            if counts[f] == 1:
-                del counts[f]
-            else:
-                counts[f] -= 1
+    @property
+    def bd_ridges(self) -> set[Simplex]:
+        """The boundary ridges."""
+        return self.boundary.maximal()
 
     def step_is_valid(self, a: Simplex, b: Simplex) -> bool:
         """Check A ∩ ∂M = ∂A and B ⋆ ∂A ⊆ ∂M against the current state, for
@@ -144,10 +132,10 @@ class _BallState:
           itself a boundary ridge.
         - Every proper face of A lies in some t∖{x}, so it lies in ∂M.
         """
-        if a in self.bd_faces:
+        bd = self.boundary
+        if a in bd:
             return False
         t = tuple(sorted(a + b))
-        bd = self.bd_ridges
         for x in a:
             i = t.index(x)
             if t[:i] + t[i + 1 :] not in bd:
@@ -180,18 +168,21 @@ class _BallState:
         """Shed the top simplex of a valid step."""
         t = step.top
         self.tops.discard(t)
-        for x, r in zip(reversed(t), facets(t)):
-            (self._bd_remove if x in step.a else self._bd_add)(r)
+        self.boundary.replace(_facets_off(t, step.a), _facets_off(t, step.b))
 
     def undo(self, step: ShellingStep) -> None:
         """Put back the top simplex of the step last applied."""
         t = step.top
         self.tops.add(t)
-        for x, r in zip(reversed(t), facets(t)):
-            (self._bd_add if x in step.a else self._bd_remove)(r)
+        self.boundary.replace(_facets_off(t, step.b), _facets_off(t, step.a))
 
     def state_key(self) -> frozenset:
         return frozenset(self.tops)
+
+
+def _facets_off(t: Simplex, side: Simplex) -> list[Simplex]:
+    """The facets t∖{x} of t for x ∈ side."""
+    return [tuple(v for v in t if v != x) for x in side]
 
 
 def elementary_shellings(ball: Complex) -> list[ShellingStep]:

@@ -17,7 +17,11 @@ from .complexes import Complex, Simplex, facets
 
 
 class ResourceCapExceeded(Exception):
-    """Raised when a subdivision would exceed the configured simplex ceiling."""
+    """Raised before a subdivision or an exact bound would exceed its size
+    cap (a simplex count, or the digits of ``bounds.MAX_BOUND_DIGITS``)."""
+
+
+MAX_SIMPLEXES = 2_000_000  # default simplex ceiling of every subdivision builder
 
 
 @dataclass(frozen=True)
@@ -186,7 +190,7 @@ def _onto(a: int, b: int) -> int:
 
 
 def iterated_barycentric(
-    k: Complex, m: int, *, max_simplexes: int = 2_000_000
+    k: Complex, m: int, *, max_simplexes: int = MAX_SIMPLEXES
 ) -> SubdividedComplex:
     """β^m K with the carrier composed all the way down into K.  Raises
     ResourceCapExceeded before any build when β^m K would be too large."""

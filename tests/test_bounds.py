@@ -5,6 +5,7 @@ import mpmath as mp
 import pytest
 
 from trimoves.bounds import (
+    MAX_BOUND_DIGITS,
     ManifoldData,
     barymoves_bound,
     commonsub_bound,
@@ -21,6 +22,7 @@ from trimoves.bounds import (
     volhyp_m,
 )
 from trimoves.geometry import Geometry
+from trimoves.subdivision import ResourceCapExceeded
 
 E, S, H = Geometry.EUCLIDEAN, Geometry.SPHERICAL, Geometry.HYPERBOLIC
 
@@ -114,6 +116,21 @@ class TestExactBounds:
     def test_barymoves(self):
         assert barymoves_bound(2, 0, 4) == 36 * 16
         assert barymoves_bound(2, 1, 1) == 6**4
+
+    def test_digit_cap_is_exact_and_checked_first(self):
+        # barymoves_bound(2, m, 1) = 6^(2m+2), with floor((2m+2) log10 6) + 1
+        # digits: m = 642,547 gives exactly MAX_BOUND_DIGITS digits and is
+        # built, the next m is refused, and so is an exponent far too large
+        # to build or to convert to a float
+        assert MAX_BOUND_DIGITS == 1_000_000
+        v = barymoves_bound(2, 642_547, 1)
+        assert 10 ** (MAX_BOUND_DIGITS - 1) <= v < 10**MAX_BOUND_DIGITS
+        with pytest.raises(ResourceCapExceeded, match="barymoves_bound"):
+            barymoves_bound(2, 642_548, 1)
+        with pytest.raises(ResourceCapExceeded, match="barymoves_bound"):
+            barymoves_bound(2, 10**400, 1)
+        with pytest.raises(ResourceCapExceeded, match="total_bound"):
+            total_bound(30, 10, 12, depth_mprime(1, 30))
 
     def test_cross_check_small_range(self):
         for n in range(1, 7):

@@ -352,6 +352,18 @@ class TestBoundCli:
         assert int(Decimal(text)) == total_bound(3, 20, 30, report["mprime"])
         assert f"{'total_bound':24} {text}" in table.read_text().splitlines()
 
+    def test_bound_over_the_digit_cap_exits_3_at_once(self, tmp_path, capsys):
+        # n = 30 gives m' = 2^31, so total_bound would have about 2e11
+        # digits; the cap refuses it before the power is built
+        inp = tmp_path / "mfd.json"
+        inp.write_text(json.dumps({
+            "geometry": "euclidean", "n": 30, "lam": 1.0, "p": 10, "q": 12, "inj": 0.5,
+        }))
+        t0 = time.perf_counter()
+        assert main(["bound", "compute", "--input", str(inp)]) == 3
+        assert time.perf_counter() - t0 < 1.0
+        assert "total_bound would have more than 1000000 digits" in capsys.readouterr().err
+
 
 class TestGeomCli:
     def test_kappa(self, capsys):
@@ -372,6 +384,15 @@ class TestGeomCli:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "trial,level,simplexes,max_edge,bound"
         assert len(lines) == 1 + 2 * 3
+
+    def test_scaling_table_over_the_simplex_cap_exits_3_at_once(self, tmp_path, capsys):
+        # β^3 of a 5-simplex has 720^3 simplexes, about 90 GB of coordinates
+        t0 = time.perf_counter()
+        assert main(["geom", "scaling-table", "--geometry", "euclidean", "--n", "5",
+                     "--csv", str(tmp_path / "table.csv")]) == 3
+        assert time.perf_counter() - t0 < 1.0
+        assert "720^3 simplexes, above the cap 2000000" in capsys.readouterr().err
+        assert not (tmp_path / "table.csv").exists()
 
     def test_centroid_check_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -28,6 +28,7 @@ from trimoves.geometry import (
     scaling_levels,
     to_linear_chart,
 )
+from trimoves.subdivision import ResourceCapExceeded
 
 E, S, H = Geometry.EUCLIDEAN, Geometry.SPHERICAL, Geometry.HYPERBOLIC
 
@@ -309,6 +310,15 @@ class TestGeometricBarycentric:
         s = GeomSimplex(E, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         counts = [c for _, c, _ in scaling_levels(s, 2)]
         assert counts == [1, 6, 36]
+
+    def test_scaling_levels_cap_checked_before_any_level(self):
+        # 6^8 = 1,679,616 simplexes are under the cap, 6^9 are not; the
+        # refusal comes before level 0 is yielded
+        s = GeomSimplex(E, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ResourceCapExceeded, match=r"6\^9 simplexes"):
+            next(scaling_levels(s, 9))
+        with pytest.raises(ResourceCapExceeded):
+            next(scaling_levels(s, 10**9))
 
 
 class TestSharpnessProbe:

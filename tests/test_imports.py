@@ -1,11 +1,18 @@
 """Every import in the package is used, except lines marked ``# noqa: F401``
-(names kept only so that the benchmark's tracer can patch them there)."""
+(names kept only so that the benchmark's tracer can patch them there), and
+each of those names is one the tracer patches in that module."""
 import ast
 from pathlib import Path
 
 import pytest
 
+from .test_tracing_targets import _load_tracing
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "trimoves"
+
+
+def marked(lines: list[str], node: ast.stmt) -> bool:
+    return any("# noqa: F401" in lines[i] for i in range(node.lineno - 1, node.end_lineno))
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -25,14 +32,23 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
             continue
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
-        marked = any(
-            "# noqa: F401" in lines[i] for i in range(node.lineno - 1, node.end_lineno)
-        )
+        kept = marked(lines, node)
         for alias in node.names:
             name = (alias.asname or alias.name).split(".")[0]
-            if name not in read and not marked:
+            if name not in read and not kept:
                 out.append((node.lineno, name))
     return out
+
+
+def marked_imports(source: str) -> list[str]:
+    """The names bound by import lines marked ``# noqa: F401``."""
+    lines = source.splitlines()
+    return [
+        alias.asname or alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and marked(lines, node)
+        for alias in node.names
+    ]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -52,3 +68,15 @@ def test_detector():
         "x = np.zeros(floor(2.5))\n"
     )
     assert unused_imports(source) == [(2, "os"), (4, "pi")]
+    assert marked_imports(source) == ["dumps"]
+
+
+def test_every_marked_import_is_a_tracer_target():
+    targets = {(owner, attr) for owner, attr, _ in _load_tracing().TARGETS}
+    kept = [
+        (f"trimoves.{path.stem}", name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in marked_imports(path.read_text())
+    ]
+    assert kept
+    assert [pair for pair in kept if pair not in targets] == []

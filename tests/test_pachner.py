@@ -389,7 +389,7 @@ class TestRidgeCheck:
         apply_moves(work, [self.move, PachnerMove((1, 3), (4, 8))], 2)
         tops = set(work.snapshot().top_simplexes())
         for r in work.snapshot().simplexes_of_dim(1):
-            assert work.count[r] == sum(set(r) <= set(t) for t in tops) >= 1
+            assert len(work.through(r)) == sum(set(r) <= set(t) for t in tops) >= 1
 
 
 def random_closed_surface(rng, n_moves=6):
@@ -483,6 +483,33 @@ def test_kappa_test_matches_link_test_on_bfs_children_and_non_manifolds():
             Complex(k.simplexes | close_under_faces([(1, 99)]).simplexes, _assume_closed=True)
         )
     assert accepted > 100
+
+
+def assert_through_matches_scan(work: WorkingComplex) -> None:
+    """``through(f)`` is every maximal simplex containing f, and ``f in work``
+    agrees with the snapshot, for every set of up to n + 2 vertices of the
+    complex and one fresh vertex."""
+    k = work.snapshot()
+    maximal = k.maximal_simplexes()
+    vertices = k.vertices() + [k.max_label() + 1]
+    for size in range(1, k.dimension + 3):
+        for f in combinations(vertices, size):
+            assert work.through(f) == {m for m in maximal if set(f) <= set(m)}, f
+            assert (f in work) == (f in k), f
+
+
+def test_through_matches_a_scan_of_the_maximal_simplexes():
+    for seed in range(3):
+        rng = random.Random(seed)
+        k = seeded_surface(rng, 6)
+        dangling = Complex(k.simplexes | close_under_faces([(1, 99)]).simplexes, _assume_closed=True)
+        for start in (k, dangling):
+            work = WorkingComplex(start)
+            for _ in range(6):
+                assert_through_matches_scan(work)
+                apply_move_inplace(work, rng.choice(enumerate_moves(work.snapshot())), 2)
+            assert_through_matches_scan(work)
+            assert ((1, 99) in work) == (start is dangling)
 
 
 @pytest.mark.parametrize("label", ["surface0-m1", "sphere3-m1"])

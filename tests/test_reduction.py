@@ -157,6 +157,23 @@ class TestAlphaToBeta:
         with pytest.raises(ReductionError, match="after level 2"):
             alpha_to_beta(k, identity_subdivision(k))
 
+    def test_merged_reference_apexes_rejected(self, monkeypatch):
+        # with two triangles sent to one reference apex, the apex map glues
+        # two cones together; the level-1 check must fail on injectivity
+        real = reduction.partial_relative
+
+        def merged(k, alpha, r):
+            ref = real(k, alpha, r)
+            a, b = [s for s in ref.apex_of if len(s) == 3][:2]
+            apex_of = dict(ref.apex_of)
+            apex_of[b] = apex_of[a]
+            return SubdividedComplex(ref.complex, ref.parent, ref.carrier, apex_of)
+
+        monkeypatch.setattr(reduction, "partial_relative", merged)
+        k = boundary_delta3()
+        with pytest.raises(ReductionError, match="after level 2: the apex map is not injective"):
+            alpha_to_beta(k, identity_subdivision(k))
+
     @pytest.mark.parametrize("m", [1, 2])
     def test_each_star_neighbourhood_searched_or_reused(self, monkeypatch, m):
         # one count per S(A), one S(A) per r-simplex of the parent with

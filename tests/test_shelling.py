@@ -130,38 +130,40 @@ def reduction_balls(monkeypatch) -> list[Complex]:
     return balls
 
 
-def assert_counts_match(state: _BallState) -> None:
-    recount = Counter(f for r in state.bd_ridges for f in nonempty_subsets(r))
-    assert state.bd_faces == recount
+def assert_boundary_matches(state: _BallState, ball: Complex) -> None:
+    """A face of the ball lies in the state's boundary exactly when it is a
+    face of a ridge in one remaining top, and those ridges are ``bd_ridges``."""
+    bd = literal_boundary(state.tops)
+    assert {f for f in ball.simplexes if f in state.boundary} == bd
+    assert state.bd_ridges == {f for f in bd if len(f) == state.n}
 
 
 def test_step_predicate_matches_oracle_along_shellings(monkeypatch):
     # at every state of each greedy shelling, the lookup form of the step
     # test equals the face-by-face definition on every split of every top;
-    # applying and undoing every candidate step (the DFS's moves) keeps the
-    # boundary-face counts equal to a recount, and undoing restores the tops
-    # and the boundary ridges
+    # before and after applying and undoing every candidate step (the DFS's
+    # moves), membership in the boundary is the literal boundary, and undoing
+    # restores the tops
     balls = reduction_balls(monkeypatch)
     assert {ball.dimension for ball in balls} == {2, 3}
     for ball in balls:
         shelling = find_shelling(ball)
         state = _BallState(ball)
         for step in shelling.steps + (None,):
+            assert_boundary_matches(state, ball)
             bd = literal_boundary(state.tops)
-            assert state.bd_ridges == {f for f in bd if len(f) == state.n}
-            assert_counts_match(state)
             for t in state.tops:
                 for a, b in splits(t):
                     assert state.step_is_valid(a, b) == literal_step_is_valid(bd, a, b), (t, a)
             if step is None:
                 break
             for candidate in state.candidate_steps():
-                before = dict(state.bd_faces), set(state.tops), set(state.bd_ridges)
+                tops = set(state.tops)
                 state.apply(candidate)
-                assert_counts_match(state)
+                assert_boundary_matches(state, ball)
                 state.undo(candidate)
-                assert_counts_match(state)
-                assert (state.bd_faces, state.tops, state.bd_ridges) == before
+                assert_boundary_matches(state, ball)
+                assert state.tops == tops
             state.apply(step)
         assert state.tops == {shelling.final}
 
