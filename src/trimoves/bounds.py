@@ -303,7 +303,45 @@ class BoundReport:
 def _text(v) -> str:
     """A value as text; an exact integer goes through ``Decimal``, which has
     no digit limit (``str(int)`` refuses more than 4,300 digits)."""
-    return str(decimal.Decimal(v)) if isinstance(v, int) else str(v)
+    return str(_exact_decimal(v)) if isinstance(v, int) else str(v)
+
+
+_DIRECT_BITS = 4096  # below this, Decimal(v) is fast enough
+
+
+def _exact_decimal(v: int) -> decimal.Decimal:
+    """``Decimal(v)`` in subquadratic time.  ``Decimal(v)`` converts an int
+    digit by digit, which is quadratic in its length; here v is split at
+    half its bit length, both halves converted recursively and joined as
+    hi · 2^half + lo (the divide and conquer of CPython 3.12's ``_pylong``).
+    """
+    if v < 0:
+        return _exact_decimal(-v).copy_negate()
+    # joins must be exact: any rounding raises instead of passing silently
+    exact = decimal.Context(
+        prec=decimal.MAX_PREC,
+        Emax=decimal.MAX_EMAX,
+        traps=[decimal.Inexact, decimal.Rounded],
+    )
+    powers: dict[int, decimal.Decimal] = {}
+
+    def power(bits: int) -> decimal.Decimal:
+        if bits not in powers:
+            if bits <= _DIRECT_BITS:
+                powers[bits] = decimal.Decimal(1 << bits)
+            else:
+                half = bits >> 1
+                powers[bits] = exact.multiply(power(half), power(bits - half))
+        return powers[bits]
+
+    def convert(v: int, bits: int) -> decimal.Decimal:
+        if bits <= _DIRECT_BITS:
+            return decimal.Decimal(v)
+        half = bits >> 1
+        hi, lo = v >> half, v & ((1 << half) - 1)
+        return exact.add(exact.multiply(convert(hi, bits - half), power(half)), convert(lo, half))
+
+    return convert(v, v.bit_length())
 
 
 def _fmt(x: mp.mpf) -> str:

@@ -8,9 +8,9 @@ has to re-infer B, and vertex accounting can be audited from the log alone.
 """
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Optional
 
 from .complexes import (
@@ -18,7 +18,6 @@ from .complexes import (
     Simplex,
     WorkingComplex,
     closed_pseudomanifold,
-    isomorphism_signature,
     pure_tops,
     tops_signature,
 )
@@ -285,10 +284,27 @@ def bfs_equivalence(
     child has the signature of an earlier sibling, and a search without
     pruning would have found that signature in ``seen``, or returned on it.
     The visited nodes, their order, the returned path and the point where
-    the cap is hit are therefore the same as without pruning."""
+    the cap is hit are therefore the same as without pruning.
+
+    Last-layer filter.  A child of a node at depth ``max_depth - 1`` is
+    signed only when its top count and sorted vertex-degree sequence equal
+    the goal's (a cheap invariant tested before canonical labelling, after
+    McKay and Piperno); it is only compared with the goal, and gets no
+    ``seen`` entry or queue slot.  This is exact.  The queue is FIFO, so once
+    such a node is expanded every later child has depth ``max_depth`` and is
+    never expanded; the ``seen`` entries of those children matter only to
+    other children of that depth, and the goal's signature is never in
+    ``seen`` (the search returns on meeting it).  Isomorphic complexes have
+    equal invariants, so a skipped child is isomorphic neither to the goal
+    nor to any later child that passes the filter.  The move is counted
+    toward ``max_nodes`` and the automorphism skip applied before the
+    filter, so the returned path, the None outcome and the point where the
+    cap is hit are unchanged."""
     if max_depth < 0:
         raise ValueError(f"max_depth must be non-negative, got {max_depth}")
-    goal = isomorphism_signature(l)
+    goal_tops = pure_tops(l)
+    goal = tops_signature(goal_tops)[0]
+    goal_count, goal_degrees = len(goal_tops), _degree_sequence(goal_tops)
     sig, autos = tops_signature(pure_tops(k))
     if sig == goal:
         return sequence_from_moves(k, ())
@@ -301,6 +317,7 @@ def bfs_equivalence(
         tops, path, autos = queue.popleft()
         if len(path) >= max_depth:
             continue
+        last = len(path) == max_depth - 1
         covered: set[tuple[Simplex, Simplex]] = set()
         for move in enumerate_moves(Complex.from_maximal(tops)):
             nodes += 1
@@ -316,6 +333,14 @@ def bfs_equivalence(
                 )
             removed, added = move_tops(move)
             nxt = tops.difference(removed).union(added)
+            if last:
+                if (
+                    len(nxt) == goal_count
+                    and _degree_sequence(nxt) == goal_degrees
+                    and tops_signature(nxt)[0] == goal
+                ):
+                    return sequence_from_moves(k, path + (move,))
+                continue
             sig, child_autos = tops_signature(nxt)
             if sig in seen:
                 continue
@@ -324,3 +349,8 @@ def bfs_equivalence(
                 return sequence_from_moves(k, path + (move,))
             queue.append((nxt, path + (move,), child_autos))
     return None
+
+
+def _degree_sequence(tops: Iterable[Simplex]) -> list[int]:
+    """The sorted numbers of top simplexes through each vertex."""
+    return sorted(Counter(chain.from_iterable(tops)).values())

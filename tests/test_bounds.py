@@ -1,10 +1,13 @@
+import decimal
 import math
+import random
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
 from trimoves.bounds import (
+    _DIRECT_BITS,
     MAX_BOUND_DIGITS,
     ManifoldData,
     barymoves_bound,
@@ -20,6 +23,7 @@ from trimoves.bounds import (
     sphere_volume,
     total_bound,
     volhyp_m,
+    _text,
 )
 from trimoves.geometry import Geometry
 from trimoves.subdivision import ResourceCapExceeded
@@ -217,3 +221,32 @@ class TestReport:
     def test_spherical_lam_guard(self):
         with pytest.raises(ValueError):
             ManifoldData(S, 2, 2.0, 3, 3)
+
+
+class TestExactText:
+    """``_text`` converts big integers by divide and conquer; it must give
+    ``str(Decimal(v))`` digit for digit."""
+
+    def assert_text(self, v):
+        assert _text(v) == str(decimal.Decimal(v)), v
+
+    def test_small_and_decimal_boundaries(self):
+        for v in (0, 1, 9, 10):
+            self.assert_text(v)
+        # 2^4096 has 1,234 digits, 2^8192 has 2,467
+        for k in (1, 100, 1233, 1234, 1300, 2466, 2467, 5000, 12_345):
+            self.assert_text(10**k - 1)
+            self.assert_text(10**k)
+            self.assert_text(-(10**k))
+
+    def test_powers_of_two_near_the_split(self):
+        for k in range(_DIRECT_BITS - 3, _DIRECT_BITS + 4):
+            for k2 in (k, 2 * k, 4 * k + 1):
+                for v in (2**k2 - 1, 2**k2, 2**k2 + 1):
+                    self.assert_text(v)
+
+    def test_seeded_random_integers(self):
+        rng = random.Random(20)
+        for _ in range(40):
+            digits = rng.randint(1, 20_000)
+            self.assert_text(rng.randrange(10 ** (digits - 1), 10**digits))

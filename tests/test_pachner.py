@@ -1,10 +1,11 @@
 import random
-from collections import deque
+from bisect import bisect_left
+from collections import Counter, deque
 from itertools import combinations
 
 import pytest
 
-from trimoves import pachner, reduction, subdivision
+from trimoves import complexes, pachner, reduction, subdivision
 from trimoves.complexes import (
     Complex,
     WorkingComplex,
@@ -268,6 +269,66 @@ class TestAutomorphismPruning:
         ((k, l, d),) = seeded_bfs_cases(monkeypatch, 1)
         with pytest.raises(SearchCapExceeded, match="tried more than 3 moves"):
             bfs_equivalence(k, l, d, max_nodes=3)
+
+
+def degree_sequence(tops):
+    return sorted(Counter(v for t in tops for v in t).values())
+
+
+class TestLastLayerFilter:
+    """At the last layer ``bfs_equivalence`` signs only the children with
+    the goal's top count and sorted vertex-degree sequence."""
+
+    def test_out_of_reach_goal(self, monkeypatch):
+        # each case's goal is d vertex-adding moves away, so depth d - 1 fails;
+        # the least budget that lets the search finish is the same for both
+        for k, l, d in seeded_bfs_cases(monkeypatch, 12):
+            assert bfs_equivalence(k, l, d - 1) is None
+            assert unpruned_bfs(k, l, d - 1) is None
+            least = bisect_left(
+                range(50_000),
+                True,
+                key=lambda m: bfs_outcome(bfs_equivalence, k, l, d - 1, m) is None,
+            )
+            assert least > 0
+            for max_nodes in (0, least // 2, least - 1, least, least + 1):
+                expected = "cap" if max_nodes < least else None
+                assert bfs_outcome(bfs_equivalence, k, l, d - 1, max_nodes) == expected
+                assert bfs_outcome(unpruned_bfs, k, l, d - 1, max_nodes) == expected
+
+    def test_signs_only_goal_like_last_layer_children(self, monkeypatch):
+        cases = seeded_bfs_cases(monkeypatch, 12)
+        signed = []
+        real = tops_signature
+
+        def spy(tops):
+            signed.append(list(tops))
+            return real(tops)
+
+        # bfs_equivalence, isomorphism_signature and unpruned_bfs
+        monkeypatch.setattr(pachner, "tops_signature", spy)
+        monkeypatch.setattr(complexes, "tops_signature", spy)
+        monkeypatch.setitem(globals(), "tops_signature", spy)
+        unfiltered_would_sign_other = False
+        for k, l, d in cases:
+            goal_tops = l.top_simplexes()
+            count, degrees = len(goal_tops), degree_sequence(goal_tops)
+            signed.clear()
+            assert bfs_equivalence(k, l, d) is not None
+            filtered = list(signed)
+            signed.clear()
+            assert unpruned_bfs(k, l, d) is not None
+            unfiltered = list(signed)
+            # every move changes the top count by at most two and the goal has
+            # 2d more tops than k, so complexes of its top count lie at depth d
+            goal_like = [t for t in filtered if len(t) == count]
+            assert goal_like
+            assert all(degree_sequence(t) == degrees for t in goal_like)
+            assert len(filtered) < len(unfiltered)
+            unfiltered_would_sign_other |= any(
+                len(t) == count and degree_sequence(t) != degrees for t in unfiltered
+            )
+        assert unfiltered_would_sign_other
 
 
 class TestVertexAccounting:
