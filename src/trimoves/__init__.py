@@ -1,6 +1,6 @@
 """Relating triangulations of constant-curvature manifolds by local moves.
 
-Subpackages cover the combinatorial substrate (complexes, subdivision,
+Modules cover the combinatorial substrate (complexes, subdivision,
 pachner, shelling), the move-sequence generators (reduction), the geometry
 kernels (geometry, intersect), exact bound evaluation (bounds), and the
 batch CLI (cli).

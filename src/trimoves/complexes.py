@@ -277,6 +277,15 @@ def close_under_faces(maximal: Iterable[Iterable[int]]) -> Complex:
     return Complex.from_maximal(maximal)
 
 
+def join_simplexes(a: Collection[Simplex], b: Collection[Simplex]) -> set[Simplex]:
+    """The simplexes of A ⋆ B from those of A and B, on disjoint vertex
+    sets: both sets and every union s ∪ t, sorted."""
+    out = {tuple(sorted(s + t)) for s in a for t in b}
+    out.update(a)
+    out.update(b)
+    return out
+
+
 def join(k: Complex, l: Complex) -> Complex:
     """Join of two complexes on disjoint vertex sets."""
     kv = set(k.vertices())
@@ -287,11 +296,7 @@ def join(k: Complex, l: Complex) -> Complex:
         return l
     if not l.simplexes:
         return k
-    out: set[Simplex] = set(k.simplexes) | set(l.simplexes)
-    for a in k.simplexes:
-        for b in l.simplexes:
-            out.add(tuple(sorted(a + b)))
-    return Complex(out, _assume_closed=True)
+    return Complex(join_simplexes(k.simplexes, l.simplexes), _assume_closed=True)
 
 
 def cone(apex: int, base: Complex) -> Complex:

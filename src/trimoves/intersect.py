@@ -35,7 +35,7 @@ import numpy as np
 from .bounds import commonsub_rows, commonsub_violation
 from .complexes import Complex, Simplex
 from .geometry import GeomComplex, Geometry, diameter, torus_wrap
-from .subdivision import SubdividedComplex, skeleton_counts
+from .subdivision import SubdividedComplex, cone_faces, skeleton_counts
 
 MERGE_TOL = 1e-9
 MIN_MEASURE = 1e-12
@@ -557,34 +557,22 @@ def barycentric_polytopal(
 ) -> CommonSubdivision:
     """Cone every cell over its subdivided boundary, by ascending dimension,
     with the barycenter at the cell's chart centroid."""
-    next_label = len(poly.vertices)
     coords: dict[int, np.ndarray] = dict(poly.vertices)
     carrier1: dict[Simplex, Simplex] = {}
     carrier2: dict[Simplex, Simplex] = {}
     sub: dict[tuple, set[Simplex]] = {}
-    for d in range(0, poly.dim + 1):
-        for rec in poly.faces_of_dim(d):
-            if d == 0:
-                vid = rec.vids[0]
-                sub[rec.vids] = {(vid,)}
-                carrier1[(vid,)] = rec.carrier1
-                carrier2[(vid,)] = rec.carrier2
-                continue
-            boundary: set[Simplex] = set()
-            for bkey in rec.boundary:
-                boundary |= sub[bkey]
-            apex = next_label
-            next_label += 1
-            coords[apex] = torus_wrap(np.mean(rec.lift, axis=0), poly.period)
-            carrier1[(apex,)] = rec.carrier1
-            carrier2[(apex,)] = rec.carrier2
-            coned = {(apex,)}
-            for s in boundary:
-                child = tuple(sorted(s + (apex,)))
-                coned.add(child)
-                carrier1[child] = rec.carrier1
-                carrier2[child] = rec.carrier2
-            sub[rec.vids] = boundary | coned
+    for rec in poly.faces_of_dim(0):
+        sub[rec.vids] = {rec.vids}
+        carrier1[rec.vids] = rec.carrier1
+        carrier2[rec.vids] = rec.carrier2
+    keys = [rec.vids for d in range(1, poly.dim + 1) for rec in poly.faces_of_dim(d)]
+    cones = cone_faces(keys, lambda key: poly.faces[key].boundary, sub, len(poly.vertices))
+    for key, apex, cone in cones:
+        rec = poly.faces[key]
+        coords[apex] = torus_wrap(np.mean(rec.lift, axis=0), poly.period)
+        for s in cone:
+            carrier1[s] = rec.carrier1
+            carrier2[s] = rec.carrier2
     out: set[Simplex] = set()
     for cell in poly.cells:
         out |= sub[tuple(sorted(cell.vertex_ids))]

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .bounds import depth_m, reduction_level_bound, reduction_sum_bound, bridge_sum_bound, commonsub_rows, commonsub_violation, mu, total_bound
-from .complexes import Complex, Isomorphism, Simplex, WorkingComplex
+from .complexes import Complex, Isomorphism, Simplex, WorkingComplex, join_simplexes
 from .complexes import find_isomorphism  # noqa: F401  unused; perfbench's tracer patches it here
 from .geometry import GeomComplex, Geometry, geometric_barycentric
 from .intersect import CommonSubdivision, barycentric_polytopal, torus_intersect
@@ -83,14 +83,6 @@ def _link_chain_part(work: WorkingComplex, tops_a: list[Simplex], alpha_vertices
             if not (set(t) & sset) and tuple(sorted(t + s)) in work
         }
     return candidates
-
-
-def _join_sets(a_part: set[Simplex], l_part: set[Simplex]) -> set[Simplex]:
-    out = set(a_part) | set(l_part)
-    for s in a_part:
-        for t in l_part:
-            out.add(tuple(sorted(s + t)))
-    return out
 
 
 SHELLING_NODE_CAP = 2_000_000  # node budget of one star-neighbourhood shelling search
@@ -170,8 +162,7 @@ def alpha_to_beta(
                     )
             alpha_vertices = {v for s in children for v in s}
             l_part = _link_chain_part(work, tops_a, alpha_vertices)
-            ball_simplexes = _join_sets(children, l_part)
-            ball = Complex(ball_simplexes, _assume_closed=True)
+            ball = Complex(join_simplexes(children, l_part), _assume_closed=True)
             if ball.dimension != n:
                 raise ReductionError(f"S({a}) is not full-dimensional")
             shelling, reused = memoized_shelling(ball, memo)

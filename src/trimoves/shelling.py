@@ -193,12 +193,22 @@ def elementary_shellings(ball: Complex) -> list[ShellingStep]:
 def _greedy_shelling(state: _BallState) -> Optional[Shelling]:
     """Worklist-driven shelling without backtracking.
 
-    A top simplex's step validity only changes when the boundary changes on
-    a face of it, so after each shed only the vertex-neighbourhood of the
-    removed simplex is re-examined.  Deterministic: the pending heap pops
-    lexicographically smallest tops first.  Returns None when stuck, which
-    for dimension <= 2 never happens (2-balls are extendably shellable);
-    callers fall back to the complete search.
+    The heap starts with every top that shares a vertex with a boundary
+    ridge, pops the lexicographically smallest pending top first and sheds
+    it by its first valid step.  Returns None when the heap drains with more
+    than one top left, which for dimension <= 2 never happens (2-balls are
+    extendably shellable); callers fall back to the complete search.
+
+    A drained heap means no step is valid, so a rescan could shed nothing.
+    The steps of a top u read the boundary on faces of u alone, and:
+    - a valid step of u has a boundary ridge as a facet of u, so a top with
+      no vertex on a boundary ridge at the start has none, and every other
+      top is pushed;
+    - shedding t changes the boundary only on faces of t, and every top
+      that shares a vertex with t is pushed again.
+    So each top left when the heap drains had no valid step when it was
+    last popped (or at the start, if never pushed), and the boundary has
+    not changed on its faces since.
     """
     heap: list[Simplex] = []
     seen_push: set[Simplex] = set()
@@ -213,32 +223,19 @@ def _greedy_shelling(state: _BallState) -> Optional[Shelling]:
     for r in sorted(state.bd_ridges):
         push_near(r)
     steps: list[ShellingStep] = []
-    stuck_rounds = 0
-    while len(state.tops) > 1:
-        progressed = False
-        while heap and len(state.tops) > 1:
-            t = heapq.heappop(heap)
-            seen_push.discard(t)
-            if t not in state.tops:
-                continue
-            step = next(state.valid_steps(t), None)
-            if step is None:
-                continue
-            state.apply(step)
-            steps.append(step)
-            push_near(step.top)
-            progressed = True
-        if len(state.tops) == 1:
-            break
-        # heap drained early: rescan the whole boundary once; if a full
-        # round after a rescan sheds nothing, the greedy path is stuck
-        stuck_rounds = 0 if progressed else stuck_rounds + 1
-        if stuck_rounds >= 2:
-            return None
-        for r in sorted(state.bd_ridges):
-            push_near(r)
-        if not heap:
-            return None
+    while heap and len(state.tops) > 1:
+        t = heapq.heappop(heap)
+        seen_push.discard(t)
+        if t not in state.tops:
+            continue
+        step = next(state.valid_steps(t), None)
+        if step is None:
+            continue
+        state.apply(step)
+        steps.append(step)
+        push_near(step.top)
+    if len(state.tops) > 1:
+        return None
     return Shelling(tuple(steps), next(iter(state.tops)))
 
 

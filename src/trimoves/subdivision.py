@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
-from typing import Optional
+from typing import Callable, Hashable, Iterable, Iterator, Optional
 
-from .complexes import Complex, Simplex, facets
+from .complexes import Complex, Simplex, facets, join_simplexes
 
 
 class ResourceCapExceeded(Exception):
@@ -112,37 +112,26 @@ def partial_relative(
     sub: dict[Simplex, set[Simplex]] = {}
     carrier: dict[Simplex, Simplex] = {}
     apex_of: dict[Simplex, int] = {}
-    next_label = max(k.max_label(), alpha.complex.max_label()) + 1
-    total = 0
+    total = 0  # each simplex is counted once, under its carrier
 
-    for d in range(n + 1):
+    for d in range(r + 1):
         for a in k.simplexes_of_dim(d):
-            if d <= r:
-                children = alpha.children_with_carrier_in(a)
-                if not children:
-                    raise ValueError(f"alpha has no simplexes carried by {a}")
-                sub[a] = children
-                for s in children:
-                    carrier[s] = alpha.carrier[s]
-                total += sum(1 for s in children if alpha.carrier[s] == a)
-            else:
-                boundary: set[Simplex] = set()
-                for f in facets(a):
-                    boundary |= sub[f]
-                apex = next_label
-                next_label += 1
-                apex_of[a] = apex
-                coned = {(apex,)} | {tuple(sorted(s + (apex,))) for s in boundary}
-                carrier[(apex,)] = a
-                for s in boundary:
-                    carrier[tuple(sorted(s + (apex,)))] = a
-                sub[a] = boundary | coned
-                total += len(coned)
-            # each simplex is counted once, under its carrier a
-            if max_simplexes is not None and total > max_simplexes:
-                raise ResourceCapExceeded(
-                    f"subdivision exceeds simplex cap {max_simplexes}"
-                )
+            children = alpha.children_with_carrier_in(a)
+            if not children:
+                raise ValueError(f"alpha has no simplexes carried by {a}")
+            sub[a] = children
+            for s in children:
+                carrier[s] = alpha.carrier[s]
+            total += sum(1 for s in children if alpha.carrier[s] == a)
+            _check_cap(total, max_simplexes)
+    above = [a for d in range(r + 1, n + 1) for a in k.simplexes_of_dim(d)]
+    first_label = max(k.max_label(), alpha.complex.max_label()) + 1
+    for a, apex, cone in cone_faces(above, facets, sub, first_label):
+        apex_of[a] = apex
+        for s in cone:
+            carrier[s] = a
+        total += len(cone)
+        _check_cap(total, max_simplexes)
 
     out: set[Simplex] = set()
     for a in k.maximal_simplexes():
@@ -150,6 +139,32 @@ def partial_relative(
     result = Complex(out, _assume_closed=True)
     carrier = {s: carrier[s] for s in result.simplexes}
     return SubdividedComplex(result, k, carrier, apex_of)
+
+
+def cone_faces(
+    faces: Iterable[Hashable],
+    boundary_of: Callable[[Hashable], Iterable[Hashable]],
+    sub: dict,
+    first_label: int,
+) -> Iterator[tuple[Hashable, int, set[Simplex]]]:
+    """Cone each face, in the given order, over its subdivided boundary.
+
+    Face i takes the fresh apex ``first_label + i`` and gets ``sub[face]``,
+    the join of the apex with the union of ``sub[g]`` over the faces g in
+    ``boundary_of(face)``, which must all be in ``sub`` by then.  Yields
+    (face, apex, the simplexes of the cone that contain the apex).
+    """
+    for apex, face in enumerate(faces, first_label):
+        boundary: set[Simplex] = set()
+        for g in boundary_of(face):
+            boundary |= sub[g]
+        sub[face] = join_simplexes({(apex,)}, boundary)
+        yield face, apex, sub[face] - boundary
+
+
+def _check_cap(total: int, max_simplexes: Optional[int]) -> None:
+    if max_simplexes is not None and total > max_simplexes:
+        raise ResourceCapExceeded(f"subdivision exceeds simplex cap {max_simplexes}")
 
 
 def barycentric(k: Complex) -> SubdividedComplex:

@@ -16,6 +16,7 @@ from trimoves.complexes import (
     find_isomorphism,
     isomorphism_signature,
     join,
+    join_simplexes,
     tops_signature,
 )
 from trimoves.fixtures import grid_torus_complex, random_ball_2d, random_closed_surface
@@ -142,6 +143,7 @@ class TestJoin:
         j = join(a, b)
         assert set(j.simplexes) == set(close_under_faces([(1, 2, 3, 4)]).simplexes)
         assert set(j.simplexes) == brute_join(a, b)
+        assert join_simplexes(a.simplexes, b.simplexes) == brute_join(a, b)
 
     def test_join_rejects_shared_vertices(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 """Every import in the package is used, except lines marked ``# noqa: F401``
 (names kept only so that the benchmark's tracer can patch them there), and
-each of those names is one the tracer patches in that module."""
+each of those names is one the tracer patches in that module.  Every private
+top-level function is read in its own module, so a helper left behind by a
+refactor fails here."""
 import ast
 from pathlib import Path
 
@@ -40,6 +42,24 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
     return out
 
 
+def unread_private_functions(source: str) -> list[str]:
+    """The top-level ``_private`` functions that the module never reads."""
+    tree = ast.parse(source)
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in read
+    ]
+
+
 def marked_imports(source: str) -> list[str]:
     """The names bound by import lines marked ``# noqa: F401``."""
     lines = source.splitlines()
@@ -54,6 +74,21 @@ def marked_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_private_function_is_read(path):
+    assert unread_private_functions(path.read_text()) == []
+
+
+def test_private_function_detector():
+    source = (
+        "def _used(x):\n    return x\n"
+        "def _left_over(a, b):\n    return a | b\n"
+        "def __getattr__(name):\n    raise AttributeError(name)\n"
+        "def public():\n    return _used(1)\n"
+    )
+    assert unread_private_functions(source) == ["_left_over"]
 
 
 def test_detector():

@@ -12,6 +12,7 @@ from trimoves.reduction import memoized_shelling
 from trimoves.shelling import (
     ShellingError,
     _BallState,
+    _greedy_shelling,
     boundary_complex,
     elementary_shellings,
     find_shelling,
@@ -228,6 +229,26 @@ class TestFindShelling:
         pinched = close_under_faces([(1, 2, 3), (1, 4, 5)])
         assert elementary_shellings(pinched) == []
         assert find_shelling(pinched) is None
+
+    @pytest.mark.parametrize(
+        "tops",
+        [
+            [(1, 2, 3), (1, 4, 5)],
+            [(1, 2, 3, 4), (1, 5, 6, 7)],
+            [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 6, 7), (1, 7, 8), (1, 8, 9)],
+        ],
+        ids=["pinched-pair", "pinched-tetrahedra", "pinched-fans"],
+    )
+    def test_greedy_stops_when_its_heap_drains(self, tops):
+        # two balls sharing one vertex; the fans shed down to one triangle
+        # each before the heap drains.  A drained heap leaves no valid step,
+        # so the greedy gives up without a rescan and the search agrees
+        ball = close_under_faces(tops)
+        state = _BallState(ball)
+        assert _greedy_shelling(state) is None
+        assert len(state.tops) == 2
+        assert state.candidate_steps() == []
+        assert find_shelling(ball) is None
 
     def test_beta_squared_three_ball(self):
         # second derived subdivision of a subdivided 3-ball is shellable

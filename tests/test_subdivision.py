@@ -211,6 +211,33 @@ class TestComposeCarriers:
             assert comp.carrier[s] == geometric_carrier
 
 
+# sha256 of dumps(subdivided_to_dict(...)): every simplex, carrier and apex
+# label, as computed when partial_relative coned each face with its own loop
+SUBDIVISION_SHA = {
+    "barycentric-sphere3": "8c7702e7a435935fc899c7b57006ff729f338d3b30047f25fe35749fbe3bc8e0",
+    "iterated2-surface0": "95c3f3f4d5dad0ca29c9b92cbe1e8eaca57d0957b71d2a5422ad0001ac8a519b",
+    "partial1-iterated2-surface0": "0a41a3910e69b2672ab45907fd0d7df0eaa987f0ab2c40d5ae6fe9cf23a381fc",
+}
+
+
+def test_subdivision_outputs_match_pins():
+    import hashlib
+
+    from trimoves.serialize import dumps, subdivided_to_dict
+
+    sphere3 = close_under_faces(list(combinations(range(5), 4)))
+    surface = random_closed_surface(random.Random(0), 6)
+    beta2 = iterated_barycentric(surface, 2)
+    subs = {
+        "barycentric-sphere3": barycentric(sphere3),
+        "iterated2-surface0": beta2,
+        "partial1-iterated2-surface0": partial_relative(surface, beta2, 1),
+    }
+    for name, sub in subs.items():
+        text = dumps(subdivided_to_dict(sub))
+        assert hashlib.sha256(text.encode()).hexdigest() == SUBDIVISION_SHA[name], name
+
+
 class TestPartialSubdivisionLinks:
     def test_link_of_partial_subdivision_small(self):
         # lk(A, beta_r K) is isomorphic to beta lk(A, K) for every r-simplex
