@@ -8,8 +8,9 @@ and is what purity, the pseudomanifold test, the top simplexes and the
 digest read; every operation returns a new one.  ``WorkingComplex``, the
 mutable complex that moves are applied to, holds only its maximal
 simplexes, indexed by vertex, and answers every face query from them.
-``top_adjacency`` is the one pairing of top simplexes across ridges: the
-pseudomanifold test, the signature and the shelling boundary read it.
+``facet_mates`` is the one pairing of top simplexes across ridges: the
+pseudomanifold test, the signature (through ``top_adjacency``) and the
+shelling boundary read it.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, permutations, repeat
-from typing import Collection, Iterable, Iterator, Optional
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 Vertex = int
 Simplex = tuple[int, ...]
@@ -222,55 +223,83 @@ class Complex:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
 
-def top_adjacency(tops: Iterable[Simplex]) -> list[dict[int, tuple[int, int]]]:
-    """The ridge pairing of the given top simplexes, indexed by their
-    iteration order: ``across[i][v] = (j, w)`` says top j is across the
-    facet of top i opposite its vertex v, and w is the vertex of top j off
-    that facet.  A facet that lies in no other top has no entry.  ValueError
+def facet_mates(tops: Collection[Simplex]) -> list[int]:
+    """The ridge pairing of top simplexes that all have n + 1 vertices, on
+    facet ids: facet k of the i-th top t is the k-th entry of
+    ``combinations(t, n)``, the facet opposite ``t[n - k]``, and its id is
+    (n + 1)·i + k.  ``mate[f]`` is the id of the facet across f, the same
+    ridge in another top, or -1 when no other top contains it.  ValueError
     when a ridge lies in more than two of the tops.  A 0-simplex has no
     facets."""
-    # first[r] is the first top through the ridge r with its vertex off r,
-    # and None once a second top has paired with it
-    across: list[dict[int, tuple[int, int]]] = []
-    first: dict[Simplex, Optional[tuple[int, int]]] = {}
-    for i, t in enumerate(tops):
-        paired: dict[int, tuple[int, int]] = {}
-        across.append(paired)
-        # the facets come in reverse order of their opposite vertices
-        for v, r in zip(reversed(t), facets(t)):
-            here = (i, v)
-            other = first.setdefault(r, here)
-            if other is here:
-                continue
-            if other is None:
-                raise ValueError(f"ridge {r} lies in more than two top simplexes")
-            j, w = other
-            paired[v] = other
-            across[j][w] = here
-            first[r] = None
+    n = len(next(iter(tops), ())) - 1
+    if n < 1:
+        return []
+    mate: list[int] = []
+    first: dict[Simplex, int] = {}  # ridge -> id of its first facet
+    for f, r in enumerate(chain.from_iterable(map(combinations, tops, repeat(n)))):
+        g = first.setdefault(r, f)
+        if g == f:
+            mate.append(-1)
+        elif mate[g] < 0:
+            mate[g] = f
+            mate.append(g)
+        else:
+            raise ValueError(f"ridge {r} lies in more than two top simplexes")
+    return mate
+
+
+def top_adjacency(tops: Sequence[Simplex]) -> list[dict[int, tuple[int, int]]]:
+    """``facet_mates`` read per top, indexed like ``tops``:
+    ``across[i][v] = (j, w)`` says top j is across the facet of top i
+    opposite its vertex v, and w is the vertex of top j off that facet.  A
+    facet that lies in no other top has no entry.  ValueError when a ridge
+    lies in more than two of the tops."""
+    mate = facet_mates(tops)
+    across: list[dict[int, tuple[int, int]]] = [{} for _ in tops]
+    if not mate:
+        return across
+    size = len(tops[0])
+    n = size - 1
+    for f, g in enumerate(mate):
+        if g > f:
+            i, k = divmod(f, size)
+            j, l = divmod(g, size)
+            v, w = tops[i][n - k], tops[j][n - l]
+            across[i][v] = (j, w)
+            across[j][w] = (i, v)
     return across
 
 
 def closed_pseudomanifold(tops: Collection[Simplex], n: int) -> bool:
     """Whether the complex with maximal simplexes ``tops`` is an
-    n-dimensional closed pseudomanifold: n >= 1, every top has n + 1
-    vertices, every ridge lies in exactly two tops (each top is paired across
-    all n + 1 facets) and the tops are strongly connected (one walk across
-    ridges reaches them all)."""
+    n-dimensional closed pseudomanifold.  That needs, and the test proves,
+    three things: purity (n >= 1 and every maximal simplex has n + 1
+    vertices), degree 2 on every ridge (each ridge is a facet of some top;
+    ``facet_mates`` raises for one in three tops and marks one in a single
+    top with -1) and one strong component (a walk across the paired facets
+    from the first top reaches every top)."""
     if n < 1 or not tops or any(len(t) != n + 1 for t in tops):
         return False
     try:
-        across = top_adjacency(tops)
+        mate = facet_mates(tops)
     except ValueError:
         return False
-    seen = {0}
+    if -1 in mate:
+        return False
+    size = n + 1
+    count = len(mate) // size
+    seen = [True] + [False] * (count - 1)
     stack = [0]
+    reached = 1
     while stack:
-        for j, _ in across[stack.pop()].values():
-            if j not in seen:
-                seen.add(j)
+        i = stack.pop() * size
+        for g in mate[i : i + size]:
+            j = g // size
+            if not seen[j]:
+                seen[j] = True
+                reached += 1
                 stack.append(j)
-    return len(seen) == len(across) and all(len(paired) == n + 1 for paired in across)
+    return reached == count
 
 
 def close_under_faces(maximal: Iterable[Iterable[int]]) -> Complex:
@@ -616,9 +645,8 @@ class WorkingComplex:
         """The maximal simplexes containing the nonempty face f: the
         intersection of ``maximal_at[v]`` over v in f, empty when some
         vertex of f is absent."""
-        at = self.maximal_at
         try:
-            return set.intersection(*[at[v] for v in f])
+            return set.intersection(*map(self.maximal_at.__getitem__, f))
         except KeyError:
             return set()
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
 from typing import Iterable, Optional
 
 from .complexes import (
@@ -156,25 +156,29 @@ def apply_moves(
 ) -> None:
     """Apply moves in order, each checked by ``apply_move_inplace``.
 
-    With ``check_ridges``, every ridge of a removed or added n-simplex must
-    come out in exactly two n-simplexes, or in none once it has left the
-    complex, so a purity or degree defect is caught at the move that creates
-    it.  A ridge that stays is a face of an added n-simplex, so it is not
-    maximal and ``through`` gives its cofacets; none are left exactly when
-    the ridge has left, since every simplex lies in a maximal simplex.
+    With ``check_ridges``, every ridge that a move touches, a ridge of a
+    removed or added n-simplex, must come out with degree 0 or 2: in exactly
+    two n-simplexes, or in none once it has left the complex.  So a purity
+    or degree defect is caught at the move that creates it.  A ridge that
+    stays is a face of an added n-simplex, so it is not maximal and
+    ``through`` gives its cofacets; none are left exactly when the ridge has
+    left, since every simplex lies in a maximal simplex.  Each distinct
+    ridge is counted once per move, in first-seen order over the removed
+    tops and then the added ones, so the first bad ridge is the one a check
+    of every ridge of every top would report.
     """
     for m in moves:
         removed, added = apply_move_inplace(work, m, n)
         if not check_ridges:
             continue
-        for t in removed + added:
-            for r in combinations(t, n):
-                c = len(work.through(r))
-                if c != 0 and c != 2:
-                    raise MoveError(
-                        f"move κ({m.a}, {m.b}): ridge {r} has {c} cofacets; "
-                        "intermediate complex is not a closed pseudomanifold"
-                    )
+        ridges = chain.from_iterable(map(combinations, removed + added, repeat(n)))
+        for r in dict.fromkeys(ridges):
+            c = len(work.through(r))
+            if c != 0 and c != 2:
+                raise MoveError(
+                    f"move κ({m.a}, {m.b}): ridge {r} has {c} cofacets; "
+                    "intermediate complex is not a closed pseudomanifold"
+                )
 
 
 def sequence_from_moves(start: Complex, moves: Iterable[PachnerMove]) -> MoveSequence:

@@ -21,12 +21,13 @@ from .bounds import depth_m, reduction_level_bound, reduction_sum_bound, bridge_
 from .complexes import Complex, Isomorphism, Simplex, WorkingComplex, join_simplexes
 from .complexes import find_isomorphism  # noqa: F401  unused; perfbench's tracer patches it here
 from .geometry import GeomComplex, Geometry, geometric_barycentric
-from .intersect import CommonSubdivision, barycentric_polytopal, torus_intersect
+from .intersect import CommonSubdivision, IntersectionError, barycentric_polytopal, torus_intersect
 from .pachner import MoveSequence, PachnerMove, replay_verified
 from .pachner import apply_move_inplace  # noqa: F401  unused; perfbench's tracer patches it here
 from .shelling import Shelling, ShellingError, find_shelling, star_ball_inplace
 from .subdivision import (
     SubdividedComplex,
+    SubdivisionError,
     barycentric,
     compose_carriers,
     iterated_barycentric,
@@ -102,7 +103,8 @@ def memoized_shelling(ball: Complex, memo: dict) -> tuple[Optional[Shelling], bo
     so a hit is the search's own answer.  Only successful shellings are
     stored, and only a pure ball has one, so a non-pure ball, whose key has
     a lower-dimensional maximal simplex, never hits and is searched (and
-    rejected) as before.
+    rejected) as before; ``alpha_to_beta`` rejects such a ball before it
+    gets here.
     """
     maximal = ball.maximal_simplexes()
     vertices = sorted({v for m in maximal for v in m})
@@ -123,10 +125,11 @@ def alpha_to_beta(
     """Moves taking the subdivision ``alpha`` of ``k`` to the barycentric
     subdivision of ``k``, up to the relabelling ``trace.final_isomorphism``.
 
-    Raises ReductionError naming S(A) when some star neighbourhood admits
-    no shelling.  Each order type of S(A) is searched once per call
-    (``memoized_shelling``); every move is still checked against the
-    working complex, and every level exactly.
+    Raises ReductionError naming S(A) when some star neighbourhood is not
+    pure or admits no shelling, and SubdivisionError (a ValueError) when
+    ``alpha`` fails ``SubdividedComplex.validate``.  Each order type of S(A)
+    is searched once per call (``memoized_shelling``); every move is still
+    checked against the working complex, and every level exactly.
     """
     if not k.is_closed_pseudomanifold():
         raise ReductionError("the parent complex must be a closed pseudomanifold")
@@ -165,6 +168,8 @@ def alpha_to_beta(
             ball = Complex(join_simplexes(children, l_part), _assume_closed=True)
             if ball.dimension != n:
                 raise ReductionError(f"S({a}) is not full-dimensional")
+            if not ball.is_pure():
+                raise ReductionError(f"S({a}): star neighbourhood is not pure")
             shelling, reused = memoized_shelling(ball, memo)
             if reused:
                 trace.shellings_reused += 1
@@ -305,6 +310,18 @@ def _min_convexity_depth(gk: GeomComplex) -> int:
     return m
 
 
+def _reduce_side(
+    b: GeomComplex, sub: SubdividedComplex, side: int
+) -> tuple[MoveSequence, ReductionTrace]:
+    """``alpha_to_beta`` of one side of the common subdivision, which
+    validates it; a failed validation is an IntersectionError naming the
+    side and the simplex."""
+    try:
+        return alpha_to_beta(b.complex, sub)
+    except SubdivisionError as e:
+        raise IntersectionError(f"common subdivision, side {side}: {e}") from e
+
+
 def relate(k1: GeomComplex, k2: GeomComplex, *, verify: bool = True) -> RelateResult:
     """Verified move sequence from β(pre-subdivided k1) to β(pre-subdivided
     k2) through their common geometric subdivision.
@@ -314,6 +331,9 @@ def relate(k1: GeomComplex, k2: GeomComplex, *, verify: bool = True) -> RelateRe
     the common subdivision; the two reductions are stitched back to back.
     In dimensions 1 and 2 every star neighbourhood is a 1- or 2-ball, and
     those are all shellable (Danaraj and Klee 1978), so one pass suffices.
+    A side of the common subdivision whose carriers fail validation raises
+    IntersectionError, and a star neighbourhood that is not pure, as
+    near-coincident inputs can leave one, raises ReductionError.
     """
     if k1.tag != k2.tag or k1.tag != Geometry.EUCLIDEAN:
         raise ReductionError("the desk-scale pipeline is Euclidean (flat torus/circle)")
@@ -343,8 +363,8 @@ def relate(k1: GeomComplex, k2: GeomComplex, *, verify: bool = True) -> RelateRe
     if violation:
         raise ReductionError(violation)
 
-    seq1, trace1 = alpha_to_beta(b1.complex, sub1)
-    seq2, trace2 = alpha_to_beta(b2.complex, sub2)
+    seq1, trace1 = _reduce_side(b1, sub1, 1)
+    seq2, trace2 = _reduce_side(b2, sub2, 2)
 
     full = MoveSequence(
         seq1.reversed().moves + seq2.moves, seq1.end_digest, seq2.end_digest

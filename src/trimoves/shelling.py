@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterator, Optional
 
-from .complexes import Complex, Simplex, WorkingComplex, facets, top_adjacency
+from .complexes import Complex, Simplex, WorkingComplex, facet_mates, facets
 from .pachner import (
     MoveError,
     MoveSequence,
@@ -73,12 +73,13 @@ def boundary_complex(ball: Complex) -> Complex:
 
 
 def _unpaired_facets(tops: list[Simplex]) -> list[Simplex]:
-    """The facets of ``tops`` that lie in no other of them; ValueError when
-    a ridge lies in more than two."""
-    out = []
-    for t, paired in zip(tops, top_adjacency(tops)):
-        out.extend(r for v, r in zip(reversed(t), facets(t)) if v not in paired)
-    return out
+    """The facets of ``tops`` that lie in no other of them, in facet-id
+    order; ValueError when a ridge lies in more than two."""
+    return [
+        r
+        for r, g in zip(chain.from_iterable(map(facets, tops)), facet_mates(tops))
+        if g < 0
+    ]
 
 
 class _BallState:
@@ -86,7 +87,7 @@ class _BallState:
     boundary, supporting apply/undo of elementary shellings.
 
     ∂M is the closure of the boundary ridges, the ridges in exactly one top
-    simplex; at the start they are the facets ``top_adjacency`` leaves
+    simplex; at the start they are the facets ``facet_mates`` leaves
     unpaired.  ``boundary`` is ∂M as a ``WorkingComplex`` whose maximal
     simplexes are the boundary ridges, so a face f lies in ∂M exactly when
     ``f in boundary``.
@@ -96,7 +97,7 @@ class _BallState:
     map and a step is its own undo record.  For x ∈ A, t∖{x} is a boundary
     ridge (step validity), so t is its only top and it leaves the boundary.
     For x ∈ B, t∖{x} contains A ∉ ∂M, so it is interior; no ridge lies in
-    more than two tops (``top_adjacency`` checks this at the start, and
+    more than two tops (``facet_mates`` checks this at the start, and
     shedding only removes tops), so it lies in exactly one other top and
     joins the boundary.  Apply and undo are each one ``replace`` of these
     two sets of ridges.

@@ -21,6 +21,10 @@ class ResourceCapExceeded(Exception):
     cap (a simplex count, or the digits of ``bounds.MAX_BOUND_DIGITS``)."""
 
 
+class SubdivisionError(ValueError):
+    """A carrier map fails ``SubdividedComplex.validate``."""
+
+
 MAX_SIMPLEXES = 2_000_000  # default simplex ceiling of every subdivision builder
 
 
@@ -40,23 +44,24 @@ class SubdividedComplex:
     apex_of: dict[Simplex, int] = field(default_factory=dict)
 
     def validate(self) -> None:
-        """Check carrier totality, monotonicity and parent coverage."""
+        """Check carrier totality, monotonicity and parent coverage; raise
+        SubdivisionError naming the first simplex at fault."""
         for s in self.complex.simplexes:
             c = self.carrier.get(s)
             if c is None:
-                raise ValueError(f"carrier missing for {s}")
+                raise SubdivisionError(f"carrier missing for {s}")
             if c not in self.parent:
-                raise ValueError(f"carrier {c} of {s} not in parent complex")
+                raise SubdivisionError(f"carrier {c} of {s} not in parent complex")
             if len(c) < len(s):
-                raise ValueError(f"carrier {c} too small for {s}")
+                raise SubdivisionError(f"carrier {c} too small for {s}")
+            cs = set(c)
             for f in facets(s):
-                cf = self.carrier[f]
-                if not set(cf) <= set(c):
-                    raise ValueError(f"carrier not monotone at {f} < {s}")
+                if not cs.issuperset(self.carrier[f]):
+                    raise SubdivisionError(f"carrier not monotone at {f} < {s}")
         covered = {self.carrier[s] for s in self.complex.simplexes}
         for p in self.parent.simplexes:
             if p not in covered:
-                raise ValueError(f"parent simplex {p} has no subdividing simplex")
+                raise SubdivisionError(f"parent simplex {p} has no subdividing simplex")
 
     def children_with_carrier_in(self, a: Simplex) -> set[Simplex]:
         """All subdivision simplexes whose carrier is a face of ``a``."""

@@ -314,6 +314,19 @@ def test_bad_torus_period_exit_2(tmp_path, capsys, period):
         assert "torus_period must be a positive finite number" in capsys.readouterr().err
 
 
+def test_relate_on_near_coincident_circles_exits_1(tmp_path, capsys):
+    # a carrier too small for its simplex is a failed check of the common
+    # subdivision, not an input error
+    paths = []
+    for name, k in ("k1", circle_complex(3)), ("k2", circle_complex(3, offset=1e-10)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(dumps(geom_complex_to_dict(k)))
+    assert main(["reduce", "relate", "--k1", str(paths[0]), "--k2", str(paths[1])]) == 1
+    assert capsys.readouterr().err == (
+        "verification failure: common subdivision, side 1: carrier (1,) too small for (3, 13)\n"
+    )
+
+
 class TestBoundCli:
     def test_compute(self, tmp_path):
         inp = tmp_path / "mfd.json"

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -13,14 +14,17 @@ from trimoves.complexes import (
     close_under_faces,
     closed_pseudomanifold,
     cone,
+    facet_mates,
     find_isomorphism,
     isomorphism_signature,
     join,
     join_simplexes,
+    top_adjacency,
     tops_signature,
 )
 from trimoves.fixtures import grid_torus_complex, random_ball_2d, random_closed_surface
 from trimoves.pachner import apply, apply_moves, enumerate_moves
+from trimoves.shelling import _unpaired_facets
 from trimoves.subdivision import barycentric
 
 
@@ -304,6 +308,75 @@ class TestPurityCount:
                 assert closed_pseudomanifold(
                     WorkingComplex(c).maximal(), c.dimension
                 ) == literal_closed_pseudomanifold(c)
+
+
+def literal_pairing(tops):
+    """For each facet id (n + 1)·i + k of ``tops`` (facet k of top i is the
+    k-th entry of ``combinations(t, n)``), the ids of the facets of other
+    tops with the same vertices, found by scanning every top."""
+    size = len(tops[0]) if tops else 0
+    faceted = [list(itertools.combinations(t, size - 1)) if size > 1 else [] for t in tops]
+    return [
+        [size * j + faceted[j].index(r) for j, u in enumerate(tops) if j != i and set(r) <= set(u)]
+        for i, t in enumerate(tops)
+        for r in faceted[i]
+    ]
+
+
+def assert_pairing_matches_literal(tops):
+    """``facet_mates``, ``top_adjacency`` and ``_unpaired_facets`` against
+    ``literal_pairing``: the mate of each facet and its vertex off the
+    ridge, the unpaired facets in id order, or, for a ridge in three tops,
+    the error naming the ridge whose third facet comes first."""
+    shared = literal_pairing(tops)
+    flat = [r for t in tops for r in (itertools.combinations(t, len(t) - 1) if len(t) > 1 else ())]
+    third = [f for f, ids in enumerate(shared) if sum(g < f for g in ids) >= 2]
+    if third:
+        message = rf"^ridge {re.escape(str(flat[third[0]]))} lies in more than two top simplexes$"
+        for reader in facet_mates, top_adjacency, _unpaired_facets:
+            with pytest.raises(ValueError, match=message):
+                reader(tops)
+        return
+    mate = [ids[0] if ids else -1 for ids in shared]
+    assert facet_mates(tops) == mate
+    across = [{} for _ in tops]
+    size = len(tops[0]) if tops else 0
+    for f, g in enumerate(mate):
+        if g >= 0:
+            (i, k), (j, l) = divmod(f, size), divmod(g, size)
+            across[i][tops[i][size - 1 - k]] = (j, tops[j][size - 1 - l])
+    assert top_adjacency(tops) == across
+    assert _unpaired_facets(tops) == [r for r, g in zip(flat, mate) if g < 0]
+
+
+class TestFacetMates:
+    """The one ridge pairing and its two readers against a pairing that
+    scans every top for each facet."""
+
+    @pytest.mark.parametrize("name", sorted(DEGENERATE))
+    def test_degenerate_inputs(self, name):
+        assert_pairing_matches_literal(DEGENERATE[name][0].top_simplexes())
+
+    def test_random_surfaces(self):
+        # each seeded surface, punctured, moved, and with a flap on one
+        # edge (a ridge in three tops), in sorted and in shuffled order
+        rng = random.Random(21)
+        for _ in range(20):
+            k = random_closed_surface(rng, rng.randint(2, 8))
+            punctured = Complex(k.simplexes - {k.top_simplexes()[0]}, _assume_closed=True)
+            work = WorkingComplex(k)
+            for _ in range(3):
+                apply_moves(work, [rng.choice(enumerate_moves(work.snapshot()))], 2)
+            edge = rng.choice(k.simplexes_of_dim(1))
+            flapped = Complex(
+                k.simplexes | close_under_faces([edge + (k.max_label() + 1,)]).simplexes,
+                _assume_closed=True,
+            )
+            for c in k, punctured, work.snapshot(), flapped:
+                tops = c.top_simplexes()
+                assert_pairing_matches_literal(tops)
+                rng.shuffle(tops)
+                assert_pairing_matches_literal(tops)
 
 
 class TestIsomorphism:

@@ -422,6 +422,104 @@ class TestReplayVerified:
             replay_verified(self.k, seq)
         assert len(checked) == 3
 
+    def test_each_distinct_ridge_of_a_move_is_counted_once(self, monkeypatch):
+        # the ridge counts a verified replay reads for each move are the
+        # distinct ridges of its removed tops, then of its added tops, in
+        # first-seen order: none dropped, none read twice
+        moves = seeded_moves(self.k)
+        seq = sequence_from_moves(self.k, moves)
+        real_apply, real_through = pachner.apply_move_inplace, WorkingComplex.through
+        read: list = []
+
+        def applying(work, move, n):
+            read.append(None)  # the move's own link test is not a ridge count
+            out = real_apply(work, move, n)
+            read[-1] = []
+            return out
+
+        def through(work, f):
+            if read and read[-1] is not None:
+                read[-1].append(f)
+            return real_through(work, f)
+
+        monkeypatch.setattr(pachner, "apply_move_inplace", applying)
+        monkeypatch.setattr(WorkingComplex, "through", through)
+        replay_verified(self.k, seq)
+        want = []
+        for move in moves:
+            removed, added = move_tops(move)
+            ridges = []
+            for t in removed + added:
+                for r in combinations(t, 2):
+                    if r not in ridges:
+                        ridges.append(r)
+            want.append(ridges)
+        assert read == want
+
+
+def seeded_moves(k: Complex, count: int = 23, seed: int = 3) -> list[PachnerMove]:
+    """``count`` moves from k, each drawn with a seeded rng from the moves of
+    the complex the previous ones lead to."""
+    rng = random.Random(seed)
+    moves = []
+    for _ in range(count):
+        moves.append(rng.choice(enumerate_moves(k)))
+        k = apply(k, moves[-1])
+    return moves
+
+
+def corrupted_replay_error(monkeypatch, after: int, fault) -> str:
+    """The MoveError of a verified replay of the seeded moves of ∂Δ³ whose
+    working complex gets the maximal simplexes ``fault(added)`` right after
+    move ``after`` is applied, where ``added`` are that move's new tops."""
+    seq = sequence_from_moves(boundary_delta3(), seeded_moves(boundary_delta3()))
+    real = pachner.apply_move_inplace
+    applied = []
+
+    def injecting(work, move, n):
+        removed, added = real(work, move, n)
+        applied.append(move)
+        if len(applied) == after + 1:
+            work.replace((), fault(added))
+        return removed, added
+
+    monkeypatch.setattr(pachner, "apply_move_inplace", injecting)
+    with pytest.raises(MoveError) as caught:
+        replay_verified(boundary_delta3(), seq)
+    return str(caught.value)
+
+
+# faults put into the working complex right after move 6 of the seeded
+# replay, each with the message of the check that rejects it
+CORRUPTIONS = {
+    # a flap on a ridge of the move's first new top: that move's own ridge
+    # check sees three cofacets
+    "ridge in three tops": (
+        lambda added: [added[0][:2] + (1000,)],
+        "move κ((1, 3, 8), (10,)): ridge (1, 3) has 3 cofacets; "
+        "intermediate complex is not a closed pseudomanifold",
+    ),
+    # a disjoint ∂Δ³ keeps every ridge at degree 2, so only the next
+    # whole-complex check sees it
+    "second component": (
+        lambda added: list(combinations(range(1001, 1005), 3)),
+        "full check failed after move 7",
+    ),
+    # a dangling edge from a vertex of the move's first new top
+    "lower-dimensional maximal simplex": (
+        lambda added: [(added[0][0], 1000)],
+        "full check failed after move 7",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+def test_corrupted_working_complex_is_rejected(monkeypatch, name):
+    # each fault is rejected by the first check that can see it: the move's
+    # ridge check, or the whole-complex check at the end of its tenth
+    fault, message = CORRUPTIONS[name]
+    assert corrupted_replay_error(monkeypatch, 6, fault) == message
+
 
 class TestRidgeCheck:
     def setup_method(self):

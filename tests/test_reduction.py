@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 from trimoves.bounds import barymoves_bound, reduction_sum_bound, bridge_sum_bound
 from trimoves.complexes import WorkingComplex, close_under_faces, find_isomorphism
 from trimoves.fixtures import circle_complex, grid_torus_complex
+from trimoves.intersect import IntersectionError
 from trimoves import bounds, reduction, serialize
 from trimoves.pachner import apply_moves, apply_sequence, replay_verified
 from trimoves.reduction import (
@@ -258,6 +260,43 @@ class TestBetaSquaredBridge:
         assert seq.removed_vertices() & set(k.vertices()) == set()
 
 
+def near_coincident(kind, g1, g2, e):
+    """A valid input pair a tiny shift e apart: the g1 and g2 grid tori,
+    the second shifted by (e, e), or two 3-vertex circles offset by e."""
+    if kind == "torus":
+        return grid_torus_complex(g1), grid_torus_complex(g2, shift=(e, e))
+    return circle_complex(3), circle_complex(3, offset=e)
+
+
+NOT_PURE = "S((0, 1, 4)): star neighbourhood is not pure"
+NEAR_COINCIDENT = [
+    (("torus", 3, 3, 1e-6), ReductionError, NOT_PURE),
+    (("torus", 3, 3, 1e-7), ReductionError, NOT_PURE),
+    (("torus", 3, 3, 1e-8), ReductionError, NOT_PURE),
+    (("torus", 3, 3, 2e-9), ReductionError, NOT_PURE),
+    (
+        ("torus", 3, 3, 1e-9),
+        IntersectionError,
+        "common subdivision, side 1: carrier (0, 3) too small for (0, 48, 122)",
+    ),
+    (("torus", 3, 4, 1e-7), ReductionError, NOT_PURE),
+    (("torus", 4, 4, 1e-7), ReductionError, "S((0, 1, 5)): star neighbourhood is not pure"),
+    (("torus", 3, 6, 1e-7), ReductionError, NOT_PURE),
+    (
+        ("circle", 3, 3, 1e-9),
+        IntersectionError,
+        "common subdivision, side 1: carrier (0,) too small for (3, 10)",
+    ),
+] + [
+    (
+        ("circle", 3, 3, e),
+        IntersectionError,
+        "common subdivision, side 1: carrier (1,) too small for (3, 13)",
+    )
+    for e in (5e-10, 1e-10, 1e-11)
+]
+
+
 class TestRelate:
     def test_identical_circles(self):
         k = circle_complex(4)
@@ -298,6 +337,15 @@ class TestRelate:
         with pytest.raises(ReductionError, match=r"^S\(.*\): star neighbourhood is not shellable"):
             relate(circle_complex(3), circle_complex(5, offset=0.09))
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("pair, error, message", NEAR_COINCIDENT)
+    def test_near_coincident_inputs_end_in_a_typed_error(self, pair, error, message):
+        # cells of the intersection smaller than its tolerances are dropped;
+        # the hole shows up as a carrier too small for its simplex (the
+        # intersection's output) or as a star neighbourhood that is not pure
+        # (the reduction's), never as an untyped ValueError
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            relate(*near_coincident(*pair))
 
     @pytest.mark.parametrize("side", [1, 2])
     def test_common_subdivision_count_bound_checked_on_both_sides(self, monkeypatch, side):
