@@ -8,7 +8,6 @@ from __future__ import annotations
 import random
 
 import numpy as np
-from scipy.spatial import Delaunay
 
 from .complexes import Complex, close_under_faces, cone
 from .geometry import GeomComplex, Geometry
@@ -139,6 +138,8 @@ def random_chart_pair(
     rng: np.random.Generator, n_interior: int = 6
 ) -> tuple[GeomComplex, GeomComplex]:
     """Two Delaunay triangulations of the unit square sharing the region."""
+    # imported on first call: nothing else in the package needs scipy's slow import
+    from scipy.spatial import Delaunay
 
     def one() -> GeomComplex:
         corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])

@@ -231,7 +231,10 @@ def replay_verified(
     sequence.  The whole-complex checks are ``closed_pseudomanifold`` on the
     maximal simplexes, which are what the digest hashes; the checks along
     the way read them from the working complex, so the only snapshot is the
-    end complex.  Every check runs at each point named above.
+    end complex.  Every check runs at each point named above, except that
+    the end check is skipped where the check just before it already ran on
+    the end complex: when the last complete tenth ends at the last move, and
+    when the sequence is empty.  Its verdict would be the same.
     """
     if start.digest() != seq.start_digest:
         raise MoveError("start complex does not match sequence start digest")
@@ -247,7 +250,12 @@ def replay_verified(
             if not closed_pseudomanifold(work.maximal(), n):
                 raise MoveError(f"full check failed after move {i + every - 1}")
     out = work.snapshot()
-    if check_pseudomanifold and not closed_pseudomanifold(out.maximal_simplexes(), n):
+    end_checked = len(seq.moves) % every == 0
+    if (
+        check_pseudomanifold
+        and not end_checked
+        and not closed_pseudomanifold(out.maximal_simplexes(), n)
+    ):
         raise MoveError("end complex is not a closed pseudomanifold")
     if out.digest() != seq.end_digest:
         raise MoveError("replay did not reproduce the end digest")

@@ -315,11 +315,14 @@ def _reduce_side(
 ) -> tuple[MoveSequence, ReductionTrace]:
     """``alpha_to_beta`` of one side of the common subdivision, which
     validates it; a failed validation is an IntersectionError naming the
-    side and the simplex."""
+    side and the simplex, and a failed reduction a ReductionError naming
+    the side."""
     try:
         return alpha_to_beta(b.complex, sub)
     except SubdivisionError as e:
         raise IntersectionError(f"common subdivision, side {side}: {e}") from e
+    except ReductionError as e:
+        raise ReductionError(f"side {side}: {e}") from e
 
 
 def relate(k1: GeomComplex, k2: GeomComplex, *, verify: bool = True) -> RelateResult:
@@ -333,7 +336,8 @@ def relate(k1: GeomComplex, k2: GeomComplex, *, verify: bool = True) -> RelateRe
     those are all shellable (Danaraj and Klee 1978), so one pass suffices.
     A side of the common subdivision whose carriers fail validation raises
     IntersectionError, and a star neighbourhood that is not pure, as
-    near-coincident inputs can leave one, raises ReductionError.
+    near-coincident inputs can leave one, raises ReductionError naming the
+    side.
     """
     if k1.tag != k2.tag or k1.tag != Geometry.EUCLIDEAN:
         raise ReductionError("the desk-scale pipeline is Euclidean (flat torus/circle)")

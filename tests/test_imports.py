@@ -2,8 +2,12 @@
 (names kept only so that the benchmark's tracer can patch them there), and
 each of those names is one the tracer patches in that module.  Every private
 top-level function is read in its own module, so a helper left behind by a
-refactor fails here."""
+refactor fails here.  Importing the package loads no scipy module; only
+``fixtures.random_chart_pair`` imports ``scipy.spatial``, on first call."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -115,3 +119,27 @@ def test_every_marked_import_is_a_tracer_target():
     ]
     assert kept
     assert [pair for pair in kept if pair not in targets] == []
+
+
+SCIPY_ON_DEMAND = """
+import sys
+import numpy as np
+import trimoves, trimoves.cli, trimoves.fixtures
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+k1, k2 = trimoves.fixtures.random_chart_pair(np.random.default_rng(14))
+print(type(k1).__name__, type(k2).__name__, "scipy.spatial" in sys.modules)
+"""
+
+
+def test_scipy_is_imported_only_by_random_chart_pair():
+    # a fresh interpreter, since this test session has loaded scipy already
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", SCIPY_ON_DEMAND],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert out.stdout.splitlines() == ["[]", "GeomComplex GeomComplex True"]

@@ -422,6 +422,30 @@ class TestReplayVerified:
             replay_verified(self.k, seq)
         assert len(checked) == 3
 
+    def test_end_check_not_repeated_after_the_last_tenth(self, monkeypatch):
+        # 20 seeded moves, a multiple of the step 2: the tenth check after
+        # move 19 already ran on the end complex, so there is no end check
+        moves = seeded_moves(self.k, count=20)
+        path = [self.k]
+        for move in moves:
+            path.append(apply(path[-1], move))
+        seq = sequence_from_moves(self.k, moves)
+        checked = spy_full_checks(monkeypatch)
+        replay_verified(self.k, seq)
+        assert checked == [c.maximal_simplexes() for c in path[0:21:2]]
+        assert len(checked) == 11
+        checked = spy_full_checks(monkeypatch, fail_at=11)
+        with pytest.raises(MoveError, match=r"^full check failed after move 19$"):
+            replay_verified(self.k, seq)
+        assert len(checked) == 11
+
+    def test_empty_sequence_checked_once(self, monkeypatch):
+        # the start check already ran on the end complex
+        seq = sequence_from_moves(self.k, [])
+        checked = spy_full_checks(monkeypatch)
+        assert replay_verified(self.k, seq, expect=self.k) == self.k
+        assert checked == [self.k.maximal_simplexes()]
+
     def test_each_distinct_ridge_of_a_move_is_counted_once(self, monkeypatch):
         # the ridge counts a verified replay reads for each move are the
         # distinct ridges of its removed tops, then of its added tops, in
@@ -455,6 +479,21 @@ class TestReplayVerified:
                         ridges.append(r)
             want.append(ridges)
         assert read == want
+
+
+def spy_full_checks(monkeypatch, fail_at=None) -> list:
+    """The sorted tops of each whole-complex check of a verified replay,
+    in order, as a list that fills as checks run; the ``fail_at``-th check
+    fails."""
+    real = complexes.closed_pseudomanifold
+    checked = []
+
+    def spy(tops, n):
+        checked.append(sorted(tops))
+        return real(tops, n) and len(checked) != fail_at
+
+    monkeypatch.setattr(pachner, "closed_pseudomanifold", spy)
+    return checked
 
 
 def seeded_moves(k: Complex, count: int = 23, seed: int = 3) -> list[PachnerMove]:

@@ -268,7 +268,7 @@ def near_coincident(kind, g1, g2, e):
     return circle_complex(3), circle_complex(3, offset=e)
 
 
-NOT_PURE = "S((0, 1, 4)): star neighbourhood is not pure"
+NOT_PURE = "side 1: S((0, 1, 4)): star neighbourhood is not pure"
 NEAR_COINCIDENT = [
     (("torus", 3, 3, 1e-6), ReductionError, NOT_PURE),
     (("torus", 3, 3, 1e-7), ReductionError, NOT_PURE),
@@ -280,7 +280,11 @@ NEAR_COINCIDENT = [
         "common subdivision, side 1: carrier (0, 3) too small for (0, 48, 122)",
     ),
     (("torus", 3, 4, 1e-7), ReductionError, NOT_PURE),
-    (("torus", 4, 4, 1e-7), ReductionError, "S((0, 1, 5)): star neighbourhood is not pure"),
+    (
+        ("torus", 4, 4, 1e-7),
+        ReductionError,
+        "side 1: S((0, 1, 5)): star neighbourhood is not pure",
+    ),
     (("torus", 3, 6, 1e-7), ReductionError, NOT_PURE),
     (
         ("circle", 3, 3, 1e-9),
@@ -324,7 +328,7 @@ class TestRelate:
 
     def test_unshellable_star_neighbourhood_stops_relate(self, monkeypatch):
         # no second attempt with more layers: the first failed reduction ends
-        # the run with an error naming S(A)
+        # the run with an error naming the side and S(A)
         calls = []
         real = reduction.alpha_to_beta
 
@@ -334,9 +338,29 @@ class TestRelate:
 
         monkeypatch.setattr(reduction, "find_shelling", lambda ball, **kw: None)
         monkeypatch.setattr(reduction, "alpha_to_beta", counting)
-        with pytest.raises(ReductionError, match=r"^S\(.*\): star neighbourhood is not shellable"):
+        with pytest.raises(
+            ReductionError, match=r"^side 1: S\(.*\): star neighbourhood is not shellable"
+        ):
             relate(circle_complex(3), circle_complex(5, offset=0.09))
         assert len(calls) == 1
+
+    def test_failed_reduction_names_its_side(self, monkeypatch):
+        # side 1 reduces, side 2's reduction fails: the error keeps its type
+        # and message behind the prefix, and chains the original
+        real = reduction.alpha_to_beta
+        calls = []
+
+        def second_fails(k, alpha):
+            calls.append(k)
+            if len(calls) == 2:
+                raise ReductionError("S((7,)): star neighbourhood is not pure")
+            return real(k, alpha)
+
+        monkeypatch.setattr(reduction, "alpha_to_beta", second_fails)
+        with pytest.raises(ReductionError) as info:
+            relate(circle_complex(3), circle_complex(5, offset=0.09))
+        assert str(info.value) == "side 2: S((7,)): star neighbourhood is not pure"
+        assert str(info.value.__cause__) == "S((7,)): star neighbourhood is not pure"
 
     @pytest.mark.parametrize("pair, error, message", NEAR_COINCIDENT)
     def test_near_coincident_inputs_end_in_a_typed_error(self, pair, error, message):
