@@ -478,7 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sequence", required=True)
     p.add_argument("--start", required=True)
     p.add_argument("--expect")
-    p.add_argument("--pseudomanifold", action="store_true")
+    p.add_argument("--pseudomanifold", action="store_true",
+                   help="also check that the start and end are closed pseudomanifolds")
     p.add_argument("--output")
     p.set_defaults(func=cmd_verify)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations
 from typing import Iterable, Optional
 
 from .complexes import (
@@ -114,6 +114,22 @@ def check_applicable(
     maximal).  A complex is fixed by its maximal faces, and those of ∂b are
     the sets b ∖ {x}, so lk(a) = ∂b exactly when ``through(a)`` is the set
     of tops above.  Nothing here assumes the complex is pure.
+
+    Lemma (Pachner 1991; Lickorish 1999).  If K is a closed pseudomanifold
+    (pure, every ridge in exactly two tops, strongly connected) and κ(a, b)
+    passes this check, the result is a closed pseudomanifold too.  For each
+    ridge r of a removed or added top:
+    - r = a ∪ (b ∖ {x, x′}) contains a; every top through a is removed and
+      no added top contains a, so r leaves (degree 0);
+    - r = b ∪ (a ∖ {y, y′}) contains b, which was absent; exactly the added
+      tops b ∪ (a ∖ {y}) and b ∪ (a ∖ {y′}) contain it (degree 2);
+    - r = (a ∖ {y}) ∪ (b ∖ {x}) lies in exactly one removed top and one added
+      top, so its degree does not change.
+    Every face through a leaves, and every other face of a removed top lies
+    in an added top, so no lower-dimensional maximal simplex appears and
+    the result stays pure.  The removed ball a ⋆ ∂b and the added ball
+    ∂a ⋆ b are each strongly connected and share the boundary ∂a ⋆ ∂b, so
+    the result stays strongly connected.
     """
     a, b = move.a, move.b
     if (len(a) - 1) + (len(b) - 1) != n:
@@ -148,37 +164,10 @@ def apply(k: Complex, move: PachnerMove) -> Complex:
     return work.snapshot()
 
 
-def apply_moves(
-    work: WorkingComplex,
-    moves: Iterable[PachnerMove],
-    n: int,
-    check_ridges: bool = False,
-) -> None:
-    """Apply moves in order, each checked by ``apply_move_inplace``.
-
-    With ``check_ridges``, every ridge that a move touches, a ridge of a
-    removed or added n-simplex, must come out with degree 0 or 2: in exactly
-    two n-simplexes, or in none once it has left the complex.  So a purity
-    or degree defect is caught at the move that creates it.  A ridge that
-    stays is a face of an added n-simplex, so it is not maximal and
-    ``through`` gives its cofacets; none are left exactly when the ridge has
-    left, since every simplex lies in a maximal simplex.  Each distinct
-    ridge is counted once per move, in first-seen order over the removed
-    tops and then the added ones, so the first bad ridge is the one a check
-    of every ridge of every top would report.
-    """
+def apply_moves(work: WorkingComplex, moves: Iterable[PachnerMove], n: int) -> None:
+    """Apply moves in order, each checked by ``apply_move_inplace``."""
     for m in moves:
-        removed, added = apply_move_inplace(work, m, n)
-        if not check_ridges:
-            continue
-        ridges = chain.from_iterable(map(combinations, removed + added, repeat(n)))
-        for r in dict.fromkeys(ridges):
-            c = len(work.through(r))
-            if c != 0 and c != 2:
-                raise MoveError(
-                    f"move κ({m.a}, {m.b}): ridge {r} has {c} cofacets; "
-                    "intermediate complex is not a closed pseudomanifold"
-                )
+        apply_move_inplace(work, m, n)
 
 
 def sequence_from_moves(start: Complex, moves: Iterable[PachnerMove]) -> MoveSequence:
@@ -213,9 +202,6 @@ def enumerate_moves(k: Complex) -> list[PachnerMove]:
     return out
 
 
-FULL_CHECKS = 10  # whole-complex checks in a verified replay, one per len // FULL_CHECKS moves
-
-
 def replay_verified(
     start: Complex,
     seq: MoveSequence,
@@ -225,16 +211,15 @@ def replay_verified(
 ) -> Complex:
     """Replay a sequence between its digest-checked endpoints.
 
-    With ``check_pseudomanifold`` both endpoints must be closed
-    pseudomanifolds, ridge degrees are checked at every move (see
-    ``apply_moves``) and the whole complex after every tenth of the
-    sequence.  The whole-complex checks are ``closed_pseudomanifold`` on the
-    maximal simplexes, which are what the digest hashes; the checks along
-    the way read them from the working complex, so the only snapshot is the
-    end complex.  Every check runs at each point named above, except that
-    the end check is skipped where the check just before it already ran on
-    the end complex: when the last complete tenth ends at the last move, and
-    when the sequence is empty.  Its verdict would be the same.
+    Every move must pass its link condition (``check_applicable``).  With
+    ``check_pseudomanifold`` the start and, after at least one move, the end
+    complex must be closed pseudomanifolds (``closed_pseudomanifold`` on
+    their maximal simplexes, which are what the digest hashes).  No check
+    runs between moves: by the lemma in ``check_applicable`` a closed start
+    and moves that pass their link conditions give a closed pseudomanifold
+    after every move.  A fault put into the working complex between moves,
+    not by a move, is caught by the next link condition that reads it, or
+    else by the end check.
     """
     if start.digest() != seq.start_digest:
         raise MoveError("start complex does not match sequence start digest")
@@ -242,18 +227,11 @@ def replay_verified(
     if check_pseudomanifold and not closed_pseudomanifold(start.maximal_simplexes(), n):
         raise MoveError("start complex is not a closed pseudomanifold")
     work = WorkingComplex(start)
-    every = max(1, len(seq.moves) // FULL_CHECKS)
-    for i in range(0, len(seq.moves), every):
-        part = seq.moves[i : i + every]
-        apply_moves(work, part, n, check_pseudomanifold)
-        if check_pseudomanifold and len(part) == every:
-            if not closed_pseudomanifold(work.maximal(), n):
-                raise MoveError(f"full check failed after move {i + every - 1}")
+    apply_moves(work, seq.moves, n)
     out = work.snapshot()
-    end_checked = len(seq.moves) % every == 0
     if (
         check_pseudomanifold
-        and not end_checked
+        and seq.moves
         and not closed_pseudomanifold(out.maximal_simplexes(), n)
     ):
         raise MoveError("end complex is not a closed pseudomanifold")
@@ -282,11 +260,12 @@ def bfs_equivalence(
     and have no ridge in more than two top simplexes (else ValueError);
     isomorphic complexes are visited once and distinct ones never merge.
     A node is its set of top simplexes, and a move swaps its ``move_tops``.
-    Moves keep purity, ridge degrees and strong connectivity, so only k and
-    l are checked against the signature's domain, and only the returned
-    path is replayed.  A negative ``max_depth`` raises ValueError, and
-    trying more than ``max_nodes`` moves in all raises SearchCapExceeded;
-    moves skipped as automorphic images count as tried.
+    Moves keep purity, ridge degrees and strong connectivity (the lemma in
+    ``check_applicable``), so only k and l are checked against the
+    signature's domain, and only the returned path is replayed.  A negative
+    ``max_depth`` raises ValueError, and trying more than ``max_nodes``
+    moves in all raises SearchCapExceeded; moves skipped as automorphic
+    images count as tried.
 
     Automorphism pruning.  Each node carries the automorphisms that its
     ``tops_signature`` call returned.  Its moves come in ``enumerate_moves``

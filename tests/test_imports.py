@@ -1,11 +1,14 @@
 """Every import in the package is used, except lines marked ``# noqa: F401``
 (names kept only so that the benchmark's tracer can patch them there), and
 each of those names is one the tracer patches in that module.  Every private
-top-level function is read in its own module, so a helper left behind by a
-refactor fails here.  Importing the package loads no scipy module; only
-``fixtures.random_chart_pair`` imports ``scipy.spatial``, on first call."""
+top-level function is read in its own module, and every module-level
+UPPER_CASE constant is read somewhere in ``src/`` or ``perfbench/``, so a
+helper or constant left behind by a refactor fails here.  Importing the
+package loads no scipy module; only ``fixtures.random_chart_pair`` imports
+``scipy.spatial``, on first call."""
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +17,9 @@ import pytest
 
 from .test_tracing_targets import _load_tracing
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "trimoves"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "trimoves"
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 
 
 def marked(lines: list[str], node: ast.stmt) -> bool:
@@ -64,6 +69,36 @@ def unread_private_functions(source: str) -> list[str]:
     ]
 
 
+def module_constants(source: str) -> list[str]:
+    """The UPPER_CASE names, with or without a leading underscore, that the
+    module assigns at top level."""
+    return [
+        t.id
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign)
+        for t in node.targets
+        if isinstance(t, ast.Name) and CONSTANT.fullmatch(t.id)
+    ]
+
+
+def loaded_names(source: str) -> set[str]:
+    """The names the source reads, bare (``X``) or as attributes (``m.X``)."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+    return out
+
+
+def unread_constants(source: str, readers: list[str]) -> list[str]:
+    """The module-level constants of ``source`` that no source in
+    ``readers`` reads."""
+    read = set().union(*map(loaded_names, readers))
+    return [name for name in module_constants(source) if name not in read]
+
+
 def marked_imports(source: str) -> list[str]:
     """The names bound by import lines marked ``# noqa: F401``."""
     lines = source.splitlines()
@@ -93,6 +128,30 @@ def test_private_function_detector():
         "def public():\n    return _used(1)\n"
     )
     assert unread_private_functions(source) == ["_left_over"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_constant_is_read(path):
+    readers = [
+        p.read_text() for d in ("src", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))
+    ]
+    assert unread_constants(path.read_text(), readers) == []
+
+
+def test_constant_detector():
+    source = (
+        "import m\n"
+        "STEP = 2\n"
+        "LEFT_OVER = 10  # read nowhere\n"
+        "_GUARD = 8\n"
+        "LOW = 0\n"
+        "lower_case = 3\n"
+        "def f(x):\n    STEP2 = 4\n    return x * STEP + STEP2 + m.LOW\n"
+    )
+    reader = "from m import _GUARD\nprint(_GUARD)\n"
+    assert module_constants(source) == ["STEP", "LEFT_OVER", "_GUARD", "LOW"]
+    assert unread_constants(source, [source]) == ["LEFT_OVER", "_GUARD"]
+    assert unread_constants(source, [source, reader]) == ["LEFT_OVER"]
 
 
 def test_detector():

@@ -11,6 +11,7 @@ from trimoves.complexes import (
     WorkingComplex,
     boundary_of_simplex,
     close_under_faces,
+    closed_pseudomanifold,
     find_isomorphism,
     isomorphism_signature,
     tops_signature,
@@ -392,52 +393,21 @@ class TestReplayVerified:
             replay_verified(disk, seq)
         replay_verified(disk, seq, check_pseudomanifold=False)
 
-    def test_full_checks_at_start_every_complete_tenth_and_end(self, monkeypatch):
-        # 23 seeded moves: a whole-complex check after every 2, so at the
-        # start, after moves 1, 3, ..., 21 (the 23rd move's part is short)
-        # and at the end, each on the working complex of that moment
-        rng = random.Random(3)
-        complexes = [self.k]
-        moves = []
-        for _ in range(23):
-            moves.append(rng.choice(enumerate_moves(complexes[-1])))
-            complexes.append(apply(complexes[-1], moves[-1]))
-        seq = sequence_from_moves(self.k, moves)
-        real = pachner.closed_pseudomanifold
-        checked = []
-        fail_at = None
-
-        def spy(tops, n):
-            checked.append(sorted(tops))
-            return real(tops, n) and len(checked) != fail_at
-
-        monkeypatch.setattr(pachner, "closed_pseudomanifold", spy)
-        replay_verified(self.k, seq)
-        want = [complexes[0]] + complexes[2:24:2] + [complexes[23]]
-        assert checked == [c.maximal_simplexes() for c in want]
-        assert len(checked) == 13
-        checked.clear()
-        fail_at = 3
-        with pytest.raises(MoveError, match=r"^full check failed after move 3$"):
-            replay_verified(self.k, seq)
-        assert len(checked) == 3
-
-    def test_end_check_not_repeated_after_the_last_tenth(self, monkeypatch):
-        # 20 seeded moves, a multiple of the step 2: the tenth check after
-        # move 19 already ran on the end complex, so there is no end check
-        moves = seeded_moves(self.k, count=20)
-        path = [self.k]
+    def test_full_checks_at_start_and_end(self, monkeypatch):
+        # 23 seeded moves: one whole-complex check on the start and one on
+        # the end complex, none between moves
+        moves = seeded_moves(self.k)
+        end = self.k
         for move in moves:
-            path.append(apply(path[-1], move))
+            end = apply(end, move)
         seq = sequence_from_moves(self.k, moves)
         checked = spy_full_checks(monkeypatch)
         replay_verified(self.k, seq)
-        assert checked == [c.maximal_simplexes() for c in path[0:21:2]]
-        assert len(checked) == 11
-        checked = spy_full_checks(monkeypatch, fail_at=11)
-        with pytest.raises(MoveError, match=r"^full check failed after move 19$"):
+        assert checked == [self.k.maximal_simplexes(), end.maximal_simplexes()]
+        checked = spy_full_checks(monkeypatch, fail_at=2)
+        with pytest.raises(MoveError, match=r"^end complex is not a closed pseudomanifold$"):
             replay_verified(self.k, seq)
-        assert len(checked) == 11
+        assert len(checked) == 2
 
     def test_empty_sequence_checked_once(self, monkeypatch):
         # the start check already ran on the end complex
@@ -445,40 +415,6 @@ class TestReplayVerified:
         checked = spy_full_checks(monkeypatch)
         assert replay_verified(self.k, seq, expect=self.k) == self.k
         assert checked == [self.k.maximal_simplexes()]
-
-    def test_each_distinct_ridge_of_a_move_is_counted_once(self, monkeypatch):
-        # the ridge counts a verified replay reads for each move are the
-        # distinct ridges of its removed tops, then of its added tops, in
-        # first-seen order: none dropped, none read twice
-        moves = seeded_moves(self.k)
-        seq = sequence_from_moves(self.k, moves)
-        real_apply, real_through = pachner.apply_move_inplace, WorkingComplex.through
-        read: list = []
-
-        def applying(work, move, n):
-            read.append(None)  # the move's own link test is not a ridge count
-            out = real_apply(work, move, n)
-            read[-1] = []
-            return out
-
-        def through(work, f):
-            if read and read[-1] is not None:
-                read[-1].append(f)
-            return real_through(work, f)
-
-        monkeypatch.setattr(pachner, "apply_move_inplace", applying)
-        monkeypatch.setattr(WorkingComplex, "through", through)
-        replay_verified(self.k, seq)
-        want = []
-        for move in moves:
-            removed, added = move_tops(move)
-            ridges = []
-            for t in removed + added:
-                for r in combinations(t, 2):
-                    if r not in ridges:
-                        ridges.append(r)
-            want.append(ridges)
-        assert read == want
 
 
 def spy_full_checks(monkeypatch, fail_at=None) -> list:
@@ -529,33 +465,32 @@ def corrupted_replay_error(monkeypatch, after: int, fault) -> str:
 
 
 # faults put into the working complex right after move 6 of the seeded
-# replay, each with the message of the check that rejects it
+# replay, each with the message of the check that rejects it; no check runs
+# between moves, so each is caught by the next link condition that reads
+# it, or else by the end check
 CORRUPTIONS = {
-    # a flap on a ridge of the move's first new top: that move's own ridge
-    # check sees three cofacets
+    # a flap on a ridge of the move's first new top: the edge (1, 3) then
+    # lies in three triangles, which the link condition of move 8, the next
+    # move on that edge, sees
     "ridge in three tops": (
         lambda added: [added[0][:2] + (1000,)],
-        "move κ((1, 3, 8), (10,)): ridge (1, 3) has 3 cofacets; "
-        "intermediate complex is not a closed pseudomanifold",
+        "link of (1, 3) is not the boundary of (2, 10)",
     ),
-    # a disjoint ∂Δ³ keeps every ridge at degree 2, so only the next
-    # whole-complex check sees it
+    # a disjoint ∂Δ³ that no later move touches
     "second component": (
         lambda added: list(combinations(range(1001, 1005), 3)),
-        "full check failed after move 7",
+        "end complex is not a closed pseudomanifold",
     ),
     # a dangling edge from a vertex of the move's first new top
     "lower-dimensional maximal simplex": (
         lambda added: [(added[0][0], 1000)],
-        "full check failed after move 7",
+        "end complex is not a closed pseudomanifold",
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
 def test_corrupted_working_complex_is_rejected(monkeypatch, name):
-    # each fault is rejected by the first check that can see it: the move's
-    # ridge check, or the whole-complex check at the end of its tenth
     fault, message = CORRUPTIONS[name]
     assert corrupted_replay_error(monkeypatch, 6, fault) == message
 
@@ -571,8 +506,10 @@ class TestRidgeCheck:
         self.move = PachnerMove((1, 2, 3), (8,))
 
     def test_degree_three_ridge_rejected(self):
-        with pytest.raises(MoveError, match=r"ridge \(1, 2\) has 3 cofacets"):
-            apply_moves(WorkingComplex(self.k), [self.move], 2, check_ridges=True)
+        # a verified replay rejects the flapped complex at its start check
+        seq = sequence_from_moves(self.k, [self.move])
+        with pytest.raises(MoveError, match=r"^start complex is not a closed pseudomanifold$"):
+            replay_verified(self.k, seq)
 
     def test_applies_without_ridge_counts(self):
         work = WorkingComplex(self.k)
@@ -590,24 +527,52 @@ class TestRidgeCheck:
             assert len(work.through(r)) == sum(set(r) <= set(t) for t in tops) >= 1
 
 
-def random_closed_surface(rng, n_moves=6):
-    k = boundary_delta3()
-    for _ in range(n_moves):
-        moves = enumerate_moves(k)
-        k = apply(k, rng.choice(moves))
-    return k
+def random_applicable_moves(rng, k: Complex, tries: int) -> list[PachnerMove]:
+    """The moves among ``tries`` random candidates (a, b) that pass
+    ``check_applicable``: a is a simplex of k and b is drawn from the
+    vertices of the tops through a, off a, and two fresh labels."""
+    work = WorkingComplex(k)
+    n = k.dimension
+    simplexes = sorted(k.simplexes)
+    fresh = [k.max_label() + 1, k.max_label() + 7]
+    out = []
+    for _ in range(tries):
+        a = rng.choice(simplexes)
+        pool = sorted(set().union(*work.through(a)).difference(a)) + fresh
+        b = tuple(sorted(rng.sample(pool, n + 2 - len(a))))
+        if kappa_holds(work, a, b, n):
+            out.append(PachnerMove(a, b))
+    return out
 
 
 def test_fuzzed_moves_preserve_invariants():
+    # the lemma in check_applicable: a move that passes its link condition
+    # takes a closed pseudomanifold to a closed pseudomanifold, and every
+    # ridge of its removed and added tops ends in zero or two tops
     rng = random.Random(7)
-    for trial in range(25):
-        k = random_closed_surface(rng, n_moves=rng.randint(2, 8))
-        chi = k.euler_characteristic()
-        for m in enumerate_moves(k)[:8]:
-            out = apply(k, m)
-            assert out.euler_characteristic() == chi
-            assert out.is_closed_pseudomanifold()
-            assert apply(out, m.inverted()) == k
+    spheres = [boundary_of_simplex(tuple(range(1, n + 3))) for n in (1, 2, 3)]
+    starts = spheres + [subdivision.barycentric(k).complex for k in spheres]
+    starts += [seeded_surface(rng, rng.randint(2, 8)) for _ in range(25)]
+    kinds = Counter()
+    for k in starts:
+        n, chi = k.dimension, k.euler_characteristic()
+        # a short walk, testing moves of each complex on it
+        for _ in range(4):
+            moves = enumerate_moves(k)[:8] + random_applicable_moves(rng, k, 24)
+            for m in moves:
+                out = apply(k, m)
+                degree = Counter(r for t in out.top_simplexes() for r in combinations(t, n))
+                removed, added = move_tops(m)
+                for r in {r for t in removed + added for r in combinations(t, n)}:
+                    assert degree[r] in (0, 2), (m, r)
+                assert closed_pseudomanifold(out.maximal_simplexes(), n)
+                assert out.euler_characteristic() == chi
+                assert apply(out, m.inverted()) == k
+                kinds[n, len(m.a)] += 1
+            k = apply(k, rng.choice(moves))
+    # every kind of move in dimensions 1 to 3 ran
+    assert set(kinds) == {(n, size) for n in (1, 2, 3) for size in range(1, n + 2)}
+    assert sum(kinds.values()) > 1500
 
 
 # -- the κ test against the literal link test ----------------------------------
