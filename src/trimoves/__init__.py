@@ -8,7 +8,14 @@ batch CLI (cli).
 
 __version__ = "0.1.0"
 
-from .complexes import Complex, Isomorphism, close_under_faces, find_isomorphism, join
+from .complexes import (
+    Complex,
+    Isomorphism,
+    close_under_faces,
+    find_isomorphism,
+    isomorphism_signature,
+    join,
+)
 from .geometry import GeomComplex, GeomSimplex, Geometry
 from .pachner import MoveSequence, PachnerMove, replay_verified
 from .reduction import RelateResult, alpha_to_beta, beta2_bridge, relate
@@ -37,6 +44,7 @@ __all__ = [
     "close_under_faces",
     "find_isomorphism",
     "find_shelling",
+    "isomorphism_signature",
     "iterated_barycentric",
     "join",
     "partial_relative",

@@ -12,7 +12,6 @@ import decimal
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 import mpmath as mp
@@ -82,15 +81,6 @@ def inj_lower(tag: Geometry, n: int, vol: float, diam: float) -> mp.mpf:
         else:
             delta = mp.sinh(d) ** (n - 1)
         return mp.pi * _mpf(vol) / (delta * sphere_volume(n))
-
-
-def convexity_radius_chain(l_c: Fraction) -> tuple[Fraction, Fraction]:
-    """(r, inj) from the shortest closed geodesic: r = inj/2 = l_c/4, exact."""
-    l_c = Fraction(l_c)
-    if l_c <= 0:
-        raise ValueError("geodesic length must be positive")
-    inj = l_c / 2
-    return inj / 2, inj
 
 
 def _check_digits(name: str, n: int, exponent: int, log10_rest: float) -> None:

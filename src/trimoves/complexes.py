@@ -2,12 +2,13 @@
 
 A simplex is a strictly increasing tuple of non-negative integer vertex
 labels.  A ``Complex`` is an immutable value holding its full
-downward-closed simplex set, so links, stars and equality are plain set
+downward-closed simplex set, so membership and equality are plain set
 operations, and the sorted list of its maximal simplexes, which fixes it
 and is what purity, the pseudomanifold test, the top simplexes and the
 digest read; every operation returns a new one.  ``WorkingComplex``, the
 mutable complex that moves are applied to, holds only its maximal
-simplexes, indexed by vertex, and answers every face query from them.
+simplexes, indexed by vertex, and answers every face query from them,
+the isomorphism search's included; it is the one per-vertex index.
 ``facet_mates`` is the one pairing of top simplexes across ridges: the
 pseudomanifold test, the signature (through ``top_adjacency``) and the
 shelling boundary read it.
@@ -49,9 +50,10 @@ def facets(s: Simplex) -> Iterator[Simplex]:
 
 class Complex:
     """A finite, downward-closed set of simplexes and its sorted maximal
-    simplexes, found on first use or handed over by a snapshot."""
+    simplexes, found on first use or handed over by a snapshot.  It keeps
+    no per-vertex index; ``WorkingComplex(k)`` answers face queries."""
 
-    __slots__ = ("_simplexes", "_dim", "_maximal", "_byvertex", "_fvec", "_hash")
+    __slots__ = ("_simplexes", "_dim", "_maximal", "_fvec", "_hash")
 
     def __init__(self, simplexes: Iterable[Simplex], *, _assume_closed: bool = False):
         simps = frozenset(simplexes)
@@ -67,7 +69,6 @@ class Complex:
         self._simplexes = simps
         self._dim = max(map(len, simps), default=0) - 1
         self._maximal: Optional[tuple[Simplex, ...]] = None
-        self._byvertex: Optional[dict[int, frozenset[Simplex]]] = None
         self._fvec: Optional[tuple[int, ...]] = None
         self._hash: Optional[int] = None
 
@@ -154,50 +155,6 @@ class Complex:
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** i * p for i, p in enumerate(self.f_vector()))
-
-    # -- incidence -----------------------------------------------------
-
-    def _index(self) -> dict[int, frozenset[Simplex]]:
-        if self._byvertex is None:
-            acc: dict[int, set[Simplex]] = {}
-            for s in self._simplexes:
-                for v in s:
-                    acc.setdefault(v, set()).add(s)
-            self._byvertex = {v: frozenset(ss) for v, ss in acc.items()}
-        return self._byvertex
-
-    def cofaces(self, a: Simplex) -> set[Simplex]:
-        """All simplexes of the complex containing ``a`` (including ``a``)."""
-        idx = self._index()
-        try:
-            sets = [idx[v] for v in a]
-        except KeyError:
-            return set()
-        sets.sort(key=len)
-        out = set(sets[0])
-        for s in sets[1:]:
-            out &= s
-        return out
-
-    def link(self, a: Simplex) -> "Complex":
-        """lk(a, K): simplexes b disjoint from a with a ∪ b in the complex."""
-        if a not in self._simplexes:
-            raise KeyError(f"simplex {a} not in complex")
-        av = set(a)
-        out = set()
-        for c in self.cofaces(a):
-            if len(c) > len(a):
-                out.add(tuple(v for v in c if v not in av))
-        return Complex(out, _assume_closed=True)
-
-    def star(self, a: Simplex) -> "Complex":
-        """Closed star st(a, K) = a ⋆ lk(a, K) as a subcomplex."""
-        if a not in self._simplexes:
-            raise KeyError(f"simplex {a} not in complex")
-        out: set[Simplex] = set()
-        for c in self.cofaces(a):
-            out.update(faces(c))
-        return Complex(out, _assume_closed=True)
 
     # -- structure tests -------------------------------------------------
 
@@ -333,11 +290,6 @@ def cone(apex: int, base: Complex) -> Complex:
     return join(Complex(((apex,),), _assume_closed=True), base)
 
 
-def boundary_of_simplex(s: Simplex) -> Complex:
-    """∂s: the complex of proper faces of one simplex."""
-    return Complex(set(faces(s)) - {s}, _assume_closed=True)
-
-
 # -- isomorphism search ----------------------------------------------------
 
 
@@ -353,27 +305,20 @@ class Isomorphism:
             {tuple(sorted(m[v] for v in s)) for s in k.simplexes}, _assume_closed=True
         )
 
-    def inverse(self) -> "Isomorphism":
-        return Isomorphism({w: v for v, w in self.vertex_map.items()})
 
-
-def _vertex_signatures(k: Complex) -> dict[int, tuple]:
-    """Per-vertex invariant: link f-vector refined by one round of
-    neighbour-signature aggregation.  Used only to prune the search."""
-    base: dict[int, tuple] = {}
-    nbrs: dict[int, set[int]] = {v: set() for v in k.vertices()}
-    for v in k.vertices():
-        counts: dict[int, int] = {}
-        for c in k.cofaces((v,)):
-            counts[len(c) - 1] = counts.get(len(c) - 1, 0) + 1
-            for w in c:
-                if w != v:
-                    nbrs[v].add(w)
-        base[v] = tuple(sorted(counts.items()))
-    out = {}
-    for v in k.vertices():
-        out[v] = (base[v], tuple(sorted(base[w] for w in nbrs[v])))
-    return out
+def _vertex_signatures(work: WorkingComplex) -> tuple[dict[int, tuple], dict[int, set[int]]]:
+    """Per vertex v, in vertex order: an invariant, the counts by dimension
+    of the simplexes through v (v itself, then v ∪ c for each c in lk(v))
+    refined by one round of neighbour-signature aggregation, and the
+    neighbours of v.  The invariant is used only to prune the search."""
+    verts = sorted(work.maximal_at)
+    nbrs = {v: set().union(*work.maximal_at[v]).difference((v,)) for v in verts}
+    base = {
+        v: ((0, 1), *sorted(Counter(map(len, work.link_simplexes((v,)))).items()))
+        for v in verts
+    }
+    sig = {v: (base[v], tuple(sorted(base[w] for w in nbrs[v]))) for v in verts}
+    return sig, nbrs
 
 
 def find_isomorphism(k: Complex, l: Complex) -> Optional[Isomorphism]:
@@ -382,31 +327,33 @@ def find_isomorphism(k: Complex, l: Complex) -> Optional[Isomorphism]:
     Candidates are bucketed by (degree, link f-vector) style signatures,
     and vertices are assigned in an order that stays adjacent to the
     already-mapped part, so the simplex-preservation check prunes early.
+
+    Both complexes are read through ``WorkingComplex``.  Mapping v to w
+    must send into l every simplex c through v whose other vertices are
+    mapped.  It does exactly when it sends into l the mapped part (v and
+    the mapped vertices) of each maximal simplex through v: each part is
+    such a c, and each such c lies in the part of a maximal simplex that
+    contains it, so its image is a face of that part's image, and l is
+    closed under faces.
     """
     if k.f_vector() != l.f_vector():
         return None
     if not k.simplexes:
         return Isomorphism({})
-    sig_k = _vertex_signatures(k)
-    sig_l = _vertex_signatures(l)
+    work = WorkingComplex(k)
+    sig_k, adjacency = _vertex_signatures(work)
+    sig_l = _vertex_signatures(WorkingComplex(l))[0]
     by_sig: dict[tuple, list[int]] = {}
     for w, s in sig_l.items():
         by_sig.setdefault(s, []).append(w)
     if sorted(sig_k.values()) != sorted(sig_l.values()):
         return None
 
-    kverts = k.vertices()
     # order: rarest signature first, then grow through neighbours
-    rarity = {v: len(by_sig[sig_k[v]]) for v in kverts}
+    rarity = {v: len(by_sig[s]) for v, s in sig_k.items()}
     order: list[int] = []
     placed: set[int] = set()
-    adjacency: dict[int, set[int]] = {v: set() for v in kverts}
-    for s in k.simplexes:
-        for a in s:
-            for b in s:
-                if a != b:
-                    adjacency[a].add(b)
-    remaining = set(kverts)
+    remaining = set(sig_k)
     while remaining:
         frontier = {v for v in remaining if adjacency[v] & placed}
         pool = frontier or remaining
@@ -420,19 +367,10 @@ def find_isomorphism(k: Complex, l: Complex) -> Optional[Isomorphism]:
     used: set[int] = set()
 
     def consistent(v: int, w: int) -> bool:
-        # every fully-mapped simplex through v must land in l
-        for c in k.cofaces((v,)):
-            img = []
-            ok = True
-            for u in c:
-                if u == v:
-                    img.append(w)
-                elif u in mapping:
-                    img.append(mapping[u])
-                else:
-                    ok = False
-                    break
-            if ok and tuple(sorted(img)) not in l_simplexes:
+        # the mapped part of each maximal simplex through v must land in l
+        for m in work.maximal_at[v]:
+            img = sorted(w if u == v else mapping[u] for u in m if u == v or u in mapping)
+            if tuple(img) not in l_simplexes:
                 return False
         return True
 

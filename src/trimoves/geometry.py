@@ -1,4 +1,4 @@
-"""Constant-curvature geometry: points, simplexes, centroids, charts.
+"""Constant-curvature geometry: points, simplexes, centroids, subdivision.
 
 Euclidean points are plain n-vectors.  Spherical points are unit vectors in
 (n+1)-space.  Hyperbolic points live on the upper sheet of the hyperboloid
@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, permutations
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -177,15 +177,6 @@ class GeomSimplex:
     def centroid(self) -> np.ndarray:
         return centroid_coords(self.tag, self.verts)
 
-    def sample_points(self, m: int, rng: np.random.Generator) -> np.ndarray:
-        """m points in the simplex, via normalised positive vertex weights."""
-        w = rng.gamma(1.0, 1.0, size=(m, self.verts.shape[0]))
-        w /= w.sum(axis=1, keepdims=True)
-        pts = w @ self.verts
-        if self.tag == Geometry.EUCLIDEAN:
-            return pts
-        return np.stack([normalize_point(self.tag, p) for p in pts])
-
 
 def centroid(simplex: GeomSimplex) -> np.ndarray:
     """The common intersection point of all medial segments, checked to lie
@@ -225,26 +216,6 @@ def median_ratio(simplex: GeomSimplex, vertex_index: int = 0) -> float:
     return distance(simplex.tag, a, c_all) / denom
 
 
-def median_sinh_ratio(simplex: GeomSimplex, vertex_index: int = 0) -> float:
-    """sinh d(a, c(S)) / sinh d(c(S), c(B)) for hyperbolic simplexes."""
-    if simplex.tag != Geometry.HYPERBOLIC:
-        raise GeometryError("sinh ratio is a hyperbolic quantity")
-    a, c_all, c_b = _median_split(simplex, vertex_index)
-    return math.sinh(distance(simplex.tag, a, c_all)) / math.sinh(
-        distance(simplex.tag, c_all, c_b)
-    )
-
-
-def median_sin_ratio(simplex: GeomSimplex, vertex_index: int = 0) -> float:
-    """sin d(a, c(S)) / sin d(c(S), c(B)) for spherical simplexes."""
-    if simplex.tag != Geometry.SPHERICAL:
-        raise GeometryError("sin ratio is a spherical quantity")
-    a, c_all, c_b = _median_split(simplex, vertex_index)
-    return math.sin(distance(simplex.tag, a, c_all)) / math.sin(
-        distance(simplex.tag, c_all, c_b)
-    )
-
-
 def kappa(tag: Geometry, n: int, lam: float) -> float:
     """Per-level diameter contraction of barycentric subdivision."""
     if n < 1:
@@ -267,88 +238,6 @@ def diameter(simplex: GeomSimplex) -> float:
     if simplex.tag == Geometry.SPHERICAL and simplex.max_edge() > math.pi / 2 + CHECK_TOL:
         raise GeometryError("diameter formula needs spherical edges at most pi/2")
     return simplex.max_edge()
-
-
-def adjacent_edge_bound_check(
-    triangle: GeomSimplex,
-    samples: int = 100,
-    *,
-    tol: float = CHECK_TOL,
-    check_preconditions: bool = True,
-) -> bool:
-    """Whether d(A, D) <= max(d(A, B), d(A, C)) for sampled D on [B, C]."""
-    if triangle.k != 2:
-        raise GeometryError("adjacent-edge check needs a triangle")
-    if check_preconditions and triangle.tag == Geometry.SPHERICAL:
-        if triangle.max_edge() > math.pi / 2 + tol:
-            raise GeometryError("spherical precondition: edges at most pi/2")
-    a, b, c = triangle.verts
-    bound = max(distance(triangle.tag, a, b), distance(triangle.tag, a, c))
-    for t in np.linspace(0.0, 1.0, samples):
-        d = geodesic_point(triangle.tag, b, c, float(t))
-        if distance(triangle.tag, a, d) > bound + tol:
-            return False
-    return True
-
-
-# -- linear charts -----------------------------------------------------------
-
-
-@dataclass
-class LinearChart:
-    """A chart sending geodesics through the simplex to straight lines."""
-
-    tag: Geometry
-    chart_verts: np.ndarray
-    to_chart: Callable[[np.ndarray], np.ndarray]
-    from_chart: Callable[[np.ndarray], np.ndarray]
-
-
-def to_linear_chart(simplex: GeomSimplex) -> LinearChart:
-    """Euclidean: identity.  Hyperbolic: the Klein map x -> x_{1..n}/x_{n+1}.
-    Spherical: gnomonic projection onto the tangent hyperplane at the
-    simplex's hemisphere centre (requires an open hemisphere)."""
-    tag = simplex.tag
-    if tag == Geometry.EUCLIDEAN:
-        ident = lambda p: np.asarray(p, dtype=float)
-        return LinearChart(tag, simplex.verts.copy(), ident, ident)
-    if tag == Geometry.HYPERBOLIC:
-
-        def to_chart(p):
-            p = np.asarray(p, dtype=float)
-            return p[..., :-1] / p[..., -1:]
-
-        def from_chart(y):
-            y = np.asarray(y, dtype=float)
-            s = 1.0 - np.sum(y * y, axis=-1, keepdims=True)
-            if np.any(s <= 0):
-                raise GeometryError("Klein point outside the unit ball")
-            return np.concatenate([y, np.ones_like(y[..., :1])], axis=-1) / np.sqrt(s)
-
-        return LinearChart(tag, to_chart(simplex.verts), to_chart, from_chart)
-
-    center = normalize_point(tag, np.sum(simplex.verts, axis=0))
-    if np.min(simplex.verts @ center) <= CHECK_TOL:
-        raise GeometryError("spherical simplex not inside an open hemisphere")
-    # orthonormal basis of the tangent hyperplane at the centre
-    _, _, vh = np.linalg.svd(center[None, :])
-    basis = vh[1:]
-
-    def to_chart(p):
-        p = np.asarray(p, dtype=float)
-        dots = p @ center
-        if np.any(dots <= CHECK_TOL):
-            raise GeometryError("point outside the chart hemisphere")
-        proj = p / dots[..., None] - center
-        return proj @ basis.T
-
-    def from_chart(y):
-        y = np.asarray(y, dtype=float)
-        p = center + y @ basis
-        norms = np.linalg.norm(p, axis=-1, keepdims=True)
-        return p / norms
-
-    return LinearChart(tag, to_chart(simplex.verts), to_chart, from_chart)
 
 
 # -- geometric complexes -----------------------------------------------------

@@ -80,16 +80,6 @@ class MoveSequence:
         )
 
 
-def applicable(k: Complex, a: Simplex) -> Optional[Simplex]:
-    """Return the unique B with lk(a, K) = ∂B and B ∉ K, if any.
-
-    For a top-dimensional ``a`` the link is empty and B is a fresh vertex.
-    """
-    if a not in k:
-        raise KeyError(f"simplex {a} not in complex")
-    return next((m.b for m in enumerate_moves(k) if m.a == a), None)
-
-
 def move_tops(move: PachnerMove) -> tuple[list[Simplex], list[Simplex]]:
     """(removed, added) maximal simplexes of κ(a, b): a ⋆ (b ∖ {x}) for each
     x ∈ b, and b ⋆ (a ∖ {y}) for each y ∈ a."""

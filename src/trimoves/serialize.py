@@ -42,7 +42,11 @@ def complex_from_dict(data: dict) -> Complex:
         raise FormatError(
             f"declared dimension {data['dimension']} != actual {k.dimension}"
         )
-    if "vertices" in data and sorted(data["vertices"]) != k.vertices():
+    try:
+        declared = sorted(data.get("vertices", k.vertices()))
+    except TypeError as e:
+        raise FormatError(f"bad vertex list: {e}") from e
+    if declared != k.vertices():
         raise FormatError("declared vertex set differs from the simplexes")
     return k
 
@@ -66,11 +70,11 @@ def subdivided_from_dict(data: dict) -> SubdividedComplex:
             tuple(int(v) for v in c): tuple(int(v) for v in p)
             for c, p in data["carrier"]
         }
+        apex_of = {
+            tuple(int(v) for v in s): int(b) for s, b in data.get("barycenters", [])
+        }
     except (KeyError, TypeError, ValueError) as e:
-        raise FormatError(f"bad carrier data: {e}") from e
-    apex_of = {
-        tuple(int(v) for v in s): int(b) for s, b in data.get("barycenters", [])
-    }
+        raise FormatError(f"bad carrier or barycenter data: {e}") from e
     sub = SubdividedComplex(child, parent, carrier, apex_of)
     sub.validate()
     return sub
@@ -129,7 +133,7 @@ def geom_complex_from_dict(data: dict) -> GeomComplex:
             int(v): np.asarray([float(x) for x in xs])
             for v, xs in data["coordinates"].items()
         }
-    except (KeyError, ValueError, TypeError) as e:
+    except (KeyError, ValueError, TypeError, AttributeError) as e:
         raise FormatError(f"bad geometric data: {e}") from e
     period = data.get("torus_period")
     if period is not None and (

@@ -1,4 +1,4 @@
-"""Shellability search for balls and spheres, and starring via shellings.
+"""Shellability search for balls, and starring via shellings.
 
 An elementary shelling along B removes the top simplex A ⋆ B from a ball M
 when the complex of faces of A meets ∂M in exactly ∂A and every simplex of
@@ -186,11 +186,6 @@ def _facets_off(t: Simplex, side: Simplex) -> list[Simplex]:
     return [tuple(v for v in t if v != x) for x in side]
 
 
-def elementary_shellings(ball: Complex) -> list[ShellingStep]:
-    """All currently valid elementary shellings of a pure complex."""
-    return _BallState(ball).candidate_steps()
-
-
 def _greedy_shelling(state: _BallState) -> Optional[Shelling]:
     """Worklist-driven shelling without backtracking.
 
@@ -307,18 +302,6 @@ def find_shelling(
             path.pop()
             continue
         stack.append((iter(state.candidate_steps()), step))
-    return None
-
-
-def find_sphere_shelling(sphere: Complex) -> Optional[tuple[Simplex, Shelling]]:
-    """Remove some top simplex and shell the remaining ball."""
-    if not sphere.is_pure():
-        raise ValueError("expected a pure complex")
-    for t in sorted(sphere.top_simplexes()):
-        ball = Complex(sphere.simplexes - {t}, _assume_closed=True)
-        sh = find_shelling(ball)
-        if sh is not None:
-            return t, sh
     return None
 
 

@@ -10,7 +10,6 @@ import mpmath as mp
 import numpy as np
 
 from trimoves.bounds import (
-    convexity_radius_chain,
     total_bound,
     volhyp_m,
 )
@@ -30,14 +29,11 @@ from trimoves.geometry import (
     GeomSimplex,
     Geometry,
     _dist_arrays,
-    adjacent_edge_bound_check,
     diameter,
     geodesic_point,
     distance,
     kappa,
     median_ratio,
-    median_sin_ratio,
-    median_sinh_ratio,
     random_simplex,
     scaling_levels,
 )
@@ -57,6 +53,15 @@ from trimoves.subdivision import (
     partial_relative,
     skeleton_counts,
 )
+
+from .paper_lemmas import (
+    adjacent_edge_bound_check,
+    median_sin_ratio,
+    median_sinh_ratio,
+    sample_points,
+)
+from .test_bounds import convexity_radius_chain
+from .test_complexes import link
 
 E, S, H = Geometry.EUCLIDEAN, Geometry.SPHERICAL, Geometry.HYPERBOLIC
 
@@ -114,8 +119,8 @@ def test_criterion_02_partial_subdivision_links():
             for r in range(k.dimension + 1):
                 sub_r = partial_relative(k, identity_subdivision(k), r)
                 for a in k.simplexes_of_dim(r):
-                    got = sub_r.complex.link(a)
-                    want = barycentric(k.link(a)).complex
+                    got = link(sub_r.complex, a)
+                    want = barycentric(link(k, a)).complex
                     assert find_isomorphism(got, want) is not None, (k, r, a)
 
 
@@ -130,7 +135,7 @@ def test_criterion_03_starring():
             seq, result = star_via_shelling(ambient, ball)
             assert len(seq) == r
             apex = next(v for v in result.vertices() if v not in ambient.vertices())
-            assert result.link((apex,)).simplexes == boundary_complex(ball).simplexes
+            assert link(result, (apex,)).simplexes == boundary_complex(ball).simplexes
             assert apply_sequence(ambient, seq) == result
 
 
@@ -218,7 +223,7 @@ def test_criterion_08_diameter_and_adjacent_edges():
             for _ in range(100):
                 n = int(rng.integers(2, 4))
                 s = random_simplex(tag, n, lam, rng)
-                pts = s.sample_points(1000, rng)
+                pts = sample_points(s, 1000, rng)
                 d = _dist_arrays(tag, pts[::2], pts[1::2])
                 assert float(np.max(d)) <= diameter(s) + CHECK_TOL
                 tri = random_simplex(tag, 2, lam, rng)

@@ -13,7 +13,6 @@ from trimoves.bounds import (
     barymoves_bound,
     commonsub_bound,
     compute_report,
-    convexity_radius_chain,
     depth_m,
     depth_mprime,
     reduction_sum_bound,
@@ -27,6 +26,16 @@ from trimoves.bounds import (
 )
 from trimoves.geometry import Geometry
 from trimoves.subdivision import ResourceCapExceeded
+
+
+def convexity_radius_chain(l_c: Fraction) -> tuple[Fraction, Fraction]:
+    """(r, inj) from the shortest closed geodesic: r = inj/2 = l_c/4, exact."""
+    l_c = Fraction(l_c)
+    if l_c <= 0:
+        raise ValueError("geodesic length must be positive")
+    inj = l_c / 2
+    return inj / 2, inj
+
 
 E, S, H = Geometry.EUCLIDEAN, Geometry.SPHERICAL, Geometry.HYPERBOLIC
 

@@ -314,6 +314,43 @@ def test_bad_torus_period_exit_2(tmp_path, capsys, period):
         assert "torus_period must be a positive finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "kind, key, value, message",
+    [
+        ("complex", "vertices", 5, "bad vertex list"),
+        ("complex", "vertices", [1, "a"], "bad vertex list"),
+        ("subdivided", "barycenters", 5, "bad carrier or barycenter data"),
+        ("subdivided", "barycenters", [[1, 2]], "bad carrier or barycenter data"),
+        ("subdivided", "barycenters", [[[1], None]], "bad carrier or barycenter data"),
+        ("geometric", "coordinates", [], "bad geometric data"),
+    ],
+    ids=["vertices-int", "vertices-mixed", "barycenters-int", "barycenters-flat",
+         "barycenters-null", "coordinates-list"],
+)
+def test_malformed_field_exit_2(tmp_path, capsys, kind, key, value, message):
+    # each of these once escaped its loader as a TypeError or AttributeError
+    from trimoves.serialize import subdivided_to_dict
+    from trimoves.subdivision import barycentric
+
+    sphere = tmp_path / "sphere.json"
+    sphere.write_text(dumps(complex_to_dict(boundary_delta3())))
+    data = {
+        "complex": lambda: complex_to_dict(boundary_delta3()),
+        "subdivided": lambda: subdivided_to_dict(barycentric(boundary_delta3())),
+        "geometric": lambda: geom_complex_to_dict(grid_torus_complex(3)),
+    }[kind]()
+    data[key] = value
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    argv = {
+        "complex": ["pachner", "enumerate", "--input", str(path)],
+        "subdivided": ["reduce", "alpha2beta", "--complex", str(sphere), "--alpha", str(path)],
+        "geometric": ["subdivide", "--input", str(path), "--mode", "geometric:1"],
+    }[kind]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_relate_on_near_coincident_circles_exits_1(tmp_path, capsys):
     # a carrier too small for its simplex is a failed check of the common
     # subdivision, not an input error

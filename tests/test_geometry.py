@@ -11,7 +11,6 @@ from trimoves.geometry import (
     GeomSimplex,
     Geometry,
     GeometryError,
-    adjacent_edge_bound_check,
     batch_max_edge,
     centroid,
     diameter,
@@ -20,15 +19,20 @@ from trimoves.geometry import (
     geometric_barycentric,
     kappa,
     median_ratio,
-    median_sin_ratio,
-    median_sinh_ratio,
     minkowski,
     normalize_point,
     random_simplex,
     scaling_levels,
-    to_linear_chart,
 )
 from trimoves.subdivision import ResourceCapExceeded
+
+from .paper_lemmas import (
+    adjacent_edge_bound_check,
+    median_sin_ratio,
+    median_sinh_ratio,
+    sample_points,
+    to_linear_chart,
+)
 
 E, S, H = Geometry.EUCLIDEAN, Geometry.SPHERICAL, Geometry.HYPERBOLIC
 
@@ -208,7 +212,7 @@ class TestDiameter:
         tri = GeomSimplex(S, np.stack([a, b, c]))
         assert diameter(tri) == pytest.approx(math.pi / 2, abs=1e-9)
         rng = np.random.default_rng(11)
-        pts = tri.sample_points(1000, rng)
+        pts = sample_points(tri, 1000, rng)
         for i in range(0, 1000, 2):
             assert distance(S, pts[i], pts[i + 1]) <= diameter(tri) + CHECK_TOL
 
@@ -261,7 +265,7 @@ class TestCharts:
         rng = np.random.default_rng(8)
         simp = random_simplex(tag, 2, lam, rng)
         chart = to_linear_chart(simp)
-        pts = simp.sample_points(2000, rng)
+        pts = sample_points(simp, 2000, rng)
         for i in range(0, 2000, 2):
             p, q = pts[i], pts[i + 1]
             mid = geodesic_point(tag, p, q, rng.uniform(0.2, 0.8))
@@ -274,7 +278,7 @@ class TestCharts:
         rng = np.random.default_rng(9)
         simp = random_simplex(tag, 2, lam, rng)
         chart = to_linear_chart(simp)
-        pts = simp.sample_points(200, rng)
+        pts = sample_points(simp, 200, rng)
         back = chart.from_chart(chart.to_chart(pts))
         assert np.max(np.linalg.norm(back - pts, axis=-1)) < CHECK_TOL
 

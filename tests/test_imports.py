@@ -1,11 +1,14 @@
 """Every import in the package is used, except lines marked ``# noqa: F401``
 (names kept only so that the benchmark's tracer can patch them there), and
 each of those names is one the tracer patches in that module.  Every private
-top-level function is read in its own module, and every module-level
-UPPER_CASE constant is read somewhere in ``src/`` or ``perfbench/``, so a
-helper or constant left behind by a refactor fails here.  Importing the
-package loads no scipy module; only ``fixtures.random_chart_pair`` imports
-``scipy.spatial``, on first call."""
+top-level function is read in its own module.  Every public top-level
+function and class and every public method, outside ``fixtures.py`` (which
+the tests and ``perfbench/`` share), is read somewhere in ``src/`` or
+``perfbench/`` or named in the package's ``__all__``.  Every module-level
+UPPER_CASE constant is read somewhere in ``src/`` or ``perfbench/``.  So a
+helper, a test-only function or a constant left behind by a refactor fails
+here.  Importing the package loads no scipy module; only
+``fixtures.random_chart_pair`` imports ``scipy.spatial``, on first call."""
 import ast
 import os
 import re
@@ -26,17 +29,24 @@ def marked(lines: list[str], node: ast.stmt) -> bool:
     return any("# noqa: F401" in lines[i] for i in range(node.lineno - 1, node.end_lineno))
 
 
+def declared_all(tree: ast.Module) -> set[str]:
+    """The names the module's ``__all__`` lists; empty without one."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            out |= set(ast.literal_eval(node.value))
+    return out
+
+
 def unused_imports(source: str) -> list[tuple[int, str]]:
     """(line, name) of each imported name that the module never reads and
     does not list in ``__all__``, skipping lines marked ``# noqa: F401``."""
     tree = ast.parse(source)
     lines = source.splitlines()
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            read |= set(ast.literal_eval(node.value))
+    read |= declared_all(tree)
     out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
@@ -67,6 +77,30 @@ def unread_private_functions(source: str) -> list[str]:
         and not node.name.startswith("__")
         and node.name not in read
     ]
+
+
+def public_definitions(source: str) -> list[str]:
+    """The module's public top-level functions and classes, and its
+    classes' public methods as ``Class.method``, in source order; a name
+    with a leading underscore, dunders included, is not public."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            out.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            out += [
+                f"{node.name}.{m.name}"
+                for m in node.body
+                if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
+            ]
+    return out
+
+
+def unread_public_names(source: str, readers: list[str], exported: set[str]) -> list[str]:
+    """The public definitions of ``source`` that no source in ``readers``
+    reads (bare or as an attribute) and ``exported`` does not name."""
+    read = set().union(*map(loaded_names, readers)) | exported
+    return [name for name in public_definitions(source) if name.rpartition(".")[2] not in read]
 
 
 def module_constants(source: str) -> list[str]:
@@ -130,12 +164,47 @@ def test_private_function_detector():
     assert unread_private_functions(source) == ["_left_over"]
 
 
+def src_and_bench_sources() -> list[str]:
+    return [p.read_text() for d in ("src", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "fixtures.py"],
+    ids=lambda p: p.name,
+)
+def test_every_public_name_is_read(path):
+    exported = declared_all(ast.parse((PACKAGE / "__init__.py").read_text()))
+    assert unread_public_names(path.read_text(), src_and_bench_sources(), exported) == []
+
+
+def test_public_name_detector():
+    source = (
+        "class Kept:\n"
+        "    def used(self):\n        return 1\n"
+        "    def left_over(self):\n        return 2\n"
+        "    def __len__(self):\n        return 0\n"
+        "    def _helper(self):\n        return 3\n"
+        "class Unread:\n    pass\n"
+        "def exported():\n    return Kept().used()\n"
+        "def from_bench():\n    return 0\n"
+        "def _private():\n    return 4\n"
+    )
+    bench = "from m import from_bench\nfrom_bench()\n"
+    assert public_definitions(source) == [
+        "Kept", "Kept.used", "Kept.left_over", "Unread", "exported", "from_bench"
+    ]
+    assert unread_public_names(source, [source], {"exported"}) == [
+        "Kept.left_over", "Unread", "from_bench"
+    ]
+    assert unread_public_names(source, [source, bench], {"exported"}) == [
+        "Kept.left_over", "Unread"
+    ]
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_every_constant_is_read(path):
-    readers = [
-        p.read_text() for d in ("src", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))
-    ]
-    assert unread_constants(path.read_text(), readers) == []
+    assert unread_constants(path.read_text(), src_and_bench_sources()) == []
 
 
 def test_constant_detector():

@@ -9,7 +9,6 @@ from trimoves import complexes, pachner, reduction, subdivision
 from trimoves.complexes import (
     Complex,
     WorkingComplex,
-    boundary_of_simplex,
     close_under_faces,
     closed_pseudomanifold,
     find_isomorphism,
@@ -21,7 +20,6 @@ from trimoves.pachner import (
     MoveError,
     PachnerMove,
     SearchCapExceeded,
-    applicable,
     apply,
     apply_move_inplace,
     apply_moves,
@@ -33,8 +31,16 @@ from trimoves.pachner import (
     replay_verified,
     sequence_from_moves,
 )
-from .test_complexes import boundary_delta3
+from .test_complexes import boundary_delta3, boundary_of_simplex, link
 from .test_reduction import load_workloads
+
+
+def applicable(k: Complex, a):
+    """The unique b with lk(a, K) = ∂b and b ∉ K, if any, from the moves
+    ``enumerate_moves`` lists; KeyError when a is not in k."""
+    if a not in k:
+        raise KeyError(f"simplex {a} not in complex")
+    return next((m.b for m in enumerate_moves(k) if m.a == a), None)
 
 
 class TestApplicable:
@@ -593,7 +599,7 @@ def literal_holds(k: Complex, a, b) -> bool:
         len(a) + len(b) == k.dimension + 2
         and a in k
         and b not in k
-        and k.link(a) == boundary_of_simplex(b)
+        and link(k, a) == boundary_of_simplex(b)
     )
 
 
@@ -608,7 +614,7 @@ def candidates(k: Complex):
             yield a, (fresh,)
             yield from ((a, (v,)) for v in k.vertices() if v not in a)
             continue
-        link_vertices = sorted({v for s in k.link(a).simplexes for v in s})
+        link_vertices = sorted({v for s in link(k, a).simplexes for v in s})
         for b in combinations(link_vertices, size):
             yield a, b
             yield a, b[:-1] + (fresh,)

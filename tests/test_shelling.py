@@ -14,14 +14,12 @@ from trimoves.shelling import (
     _BallState,
     _greedy_shelling,
     boundary_complex,
-    elementary_shellings,
     find_shelling,
-    find_sphere_shelling,
     star_via_shelling,
     verify_shelling,
 )
 from trimoves.subdivision import barycentric, iterated_barycentric
-from .test_complexes import boundary_delta3
+from .test_complexes import boundary_delta3, link
 
 
 def nonempty_subsets(s):
@@ -31,6 +29,21 @@ def nonempty_subsets(s):
 def splits(t):
     """Every (A, B) with A nonempty and A ⋆ B = t."""
     return [(a, tuple(v for v in t if v not in a)) for a in nonempty_subsets(t)]
+
+
+def elementary_shellings(ball: Complex):
+    """All currently valid elementary shellings of a pure complex."""
+    return _BallState(ball).candidate_steps()
+
+
+def find_sphere_shelling(sphere: Complex):
+    """(t, shelling) for the first top t, in order, whose removal leaves a
+    shellable ball, or None."""
+    for t in sphere.top_simplexes():
+        sh = find_shelling(Complex(sphere.simplexes - {t}, _assume_closed=True))
+        if sh is not None:
+            return t, sh
+    return None
 
 
 def literal_boundary(tops) -> set:
@@ -278,7 +291,7 @@ class TestStarring:
         seq, result = star_via_shelling(ambient, ball)
         assert len(seq) == 2
         apex = next(v for v in result.vertices() if v not in ambient.vertices())
-        assert result.link((apex,)).simplexes == boundary_complex(ball).simplexes
+        assert link(result, (apex,)).simplexes == boundary_complex(ball).simplexes
 
     def test_subdivided_triangle_in_subdivided_sphere(self):
         sphere = barycentric(boundary_delta3())
@@ -291,7 +304,7 @@ class TestStarring:
         apex = next(
             v for v in result.vertices() if v not in sphere.complex.vertices()
         )
-        got = result.link((apex,))
+        got = link(result, (apex,))
         want = boundary_complex(ball)
         assert got.simplexes == want.simplexes
         assert result.is_closed_pseudomanifold()

@@ -18,7 +18,7 @@ from trimoves.subdivision import (
     partial_relative,
     skeleton_counts,
 )
-from .test_complexes import boundary_delta3, small_complexes
+from .test_complexes import boundary_delta3, link, small_complexes
 
 
 class TestBarycentric:
@@ -149,7 +149,7 @@ class TestPartialRelative:
         # one fresh apex coned over the unsubdivided boundary: 3 triangles
         assert sub.complex.f_vector() == (4, 6, 3)
         apex = sub.apex_of[(1, 2, 3)]
-        assert sub.complex.link((apex,)).f_vector() == (3, 3)
+        assert link(sub.complex, (apex,)).f_vector() == (3, 3)
 
     def test_carrier_consistency_checked(self):
         k = boundary_delta3()
@@ -245,8 +245,8 @@ class TestPartialSubdivisionLinks:
         for r in range(k.dimension + 1):
             sub = partial_relative(k, identity_subdivision(k), r)
             for a in k.simplexes_of_dim(r):
-                got = sub.complex.link(a)
-                want = barycentric(k.link(a)).complex
+                got = link(sub.complex, a)
+                want = barycentric(link(k, a)).complex
                 assert find_isomorphism(got, want) is not None
 
 
