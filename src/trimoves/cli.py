@@ -46,6 +46,7 @@ from .serialize import (
     dumps,
     geom_complex_from_dict,
     geom_complex_to_dict,
+    json_int,
     loads,
     move_from_dict,
     polytopal_to_dict,
@@ -323,10 +324,10 @@ def cmd_bound(args) -> int:
     try:
         md = ManifoldData(
             tag=Geometry(data["geometry"]),
-            n=int(data["n"]),
+            n=json_int(data["n"], "n"),
             lam=float(data["lam"]),
-            p=int(data["p"]),
-            q=int(data["q"]),
+            p=json_int(data["p"], "p"),
+            q=json_int(data["q"], "q"),
             inj=data.get("inj"),
             vol=data.get("vol"),
             diam=data.get("diam"),

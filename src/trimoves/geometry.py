@@ -319,8 +319,6 @@ def geometric_barycentric(
     for _ in range(m):
         lam = max(current.max_edge(), 1e-300)
         sub = barycentric(current.complex)
-        if len(sub.complex) > max_simplexes:
-            raise ResourceCapExceeded(f"geometric subdivision exceeds {max_simplexes}")
         coords = dict(current.coords)
         for parent, apex in sub.apex_of.items():
             pts = current.lift(parent)

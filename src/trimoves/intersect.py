@@ -1,8 +1,10 @@
 """Common geometric subdivision via convex clipping in linear charts.
 
 Top simplexes of the two complexes are intersected pairwise by successive
-half-space clipping (polygon clipping in 2D, vertex-graph polyhedron
-clipping in 3D), in one loop for the plane and the torus (``_clip_tops``).
+half-space clipping with one of two clippers: a cycle in 2D
+(Sutherland-Hodgman, which keeps the polygon's order), a labelled vertex
+set in 1D and 3D (edges read off shared plane labels), in one loop for the
+plane and the torus (``_clip_tops``).
 Every pair is clipped, but a clip first tries the outcode trivial reject of
 Cohen-Sutherland clipping (all subject vertices beyond one clipper plane),
 which answers most pairs, and on the torus the translates of all subjects
@@ -90,41 +92,27 @@ def simplex_halfspaces(pts: np.ndarray) -> list[tuple]:
     return out
 
 
-def _clip_segment(pts, labels, normal, offset, label, tol):
-    d = [float(p @ normal - offset) for p in pts]
-    keep_pts, keep_labels = [], []
-    for i in range(len(pts)):
-        if d[i] <= tol:
-            lab = set(labels[i])
-            if abs(d[i]) <= tol:
-                lab.add(label)
-            keep_pts.append(pts[i])
-            keep_labels.append(frozenset(lab))
-    if len(pts) == 2 and (d[0] > tol) != (d[1] > tol):
-        t = d[0] / (d[0] - d[1])
-        x = pts[0] + t * (pts[1] - pts[0])
-        keep_pts.append(x)
-        keep_labels.append(frozenset(labels[0] & labels[1]) | {label})
-    return keep_pts, keep_labels
+def _crosses(a: float, b: float) -> bool:
+    """Whether a clip step cuts the edge whose ends lie at signed distances
+    a and b from its plane: one more than MERGE_TOL beyond it, the other
+    more than MERGE_TOL inside."""
+    return (a > MERGE_TOL and b < -MERGE_TOL) or (a < -MERGE_TOL and b > MERGE_TOL)
 
 
-def _clip_polygon(pts, labels, normal, offset, label, tol):
+def _clip_polygon(pts, labels, normal, offset, label):
     """Sutherland-Hodgman step preserving cycle order and vertex labels."""
-    if not pts:
-        return [], []
     out_pts, out_labels = [], []
     m = len(pts)
     d = [float(p @ normal - offset) for p in pts]
     for i in range(m):
         j = (i + 1) % m
-        if d[i] <= tol:
+        if d[i] <= MERGE_TOL:
             lab = set(labels[i])
-            if abs(d[i]) <= tol:
+            if abs(d[i]) <= MERGE_TOL:
                 lab.add(label)
             out_pts.append(pts[i])
             out_labels.append(frozenset(lab))
-        crossing = (d[i] > tol and d[j] < -tol) or (d[i] < -tol and d[j] > tol)
-        if crossing:
+        if _crosses(d[i], d[j]):
             t = d[i] / (d[i] - d[j])
             x = pts[i] + t * (pts[j] - pts[i])
             out_pts.append(x)
@@ -140,8 +128,6 @@ def _dist(p, q) -> float:
 
 
 def _dedupe_cycle(pts, labels):
-    if not pts:
-        return [], []
     keep_pts, keep_labels = [], []
     for p, l in zip(pts, labels):
         if keep_pts and _dist(p, keep_pts[-1]) < MERGE_TOL:
@@ -156,22 +142,26 @@ def _dedupe_cycle(pts, labels):
     return keep_pts, keep_labels
 
 
-def _clip_polyhedron(pts, labels, normal, offset, label, tol):
-    """Clip a labelled convex vertex set in 3D; edges are the vertex pairs
-    whose label sets share at least two planes."""
+def _clip_vertex_set(pts, labels, normal, offset, label):
+    """Clip a labelled convex vertex set in dimension d (1 or 3); its edges
+    are the vertex pairs whose label sets share at least d - 1 planes: any
+    two points of a segment, the pairs on two common facets of a polyhedron.
+    An end within MERGE_TOL of the plane is kept and labelled with it, and
+    no edge through it is cut (``_crosses``)."""
+    shared = len(normal) - 1
     d = [float(p @ normal - offset) for p in pts]
     new_pts, new_labels = [], []
     for i in range(len(pts)):
-        if d[i] <= tol:
+        if d[i] <= MERGE_TOL:
             lab = set(labels[i])
-            if abs(d[i]) <= tol:
+            if abs(d[i]) <= MERGE_TOL:
                 lab.add(label)
             new_pts.append(pts[i])
             new_labels.append(frozenset(lab))
     for i, j in combinations(range(len(pts)), 2):
-        if len(labels[i] & labels[j]) < 2:
+        if len(labels[i] & labels[j]) < shared:
             continue
-        if (d[i] > tol and d[j] < -tol) or (d[i] < -tol and d[j] > tol):
+        if _crosses(d[i], d[j]):
             t = d[i] / (d[i] - d[j])
             x = pts[i] + t * (pts[j] - pts[i])
             new_pts.append(x)
@@ -201,15 +191,15 @@ def clip_simplex_pair(sub_pts: np.ndarray, halfspaces):
     It starts with the outcode trivial reject of Cohen-Sutherland clipping:
     if for one clipper plane every subject vertex p has n . p > offset +
     2 MERGE_TOL, in Python floats, the cell is empty and is returned at
-    once.  The reject is exact with respect to the stepwise clip below.
-    Every point that clip makes is a convex combination of subject
-    vertices, so at that plane each has n . p - offset > MERGE_TOL: the step
-    keeps no point (it keeps those within MERGE_TOL) and cuts no edge (a cut
-    needs one end below -MERGE_TOL), so the clip is empty there if not
-    before.  One MERGE_TOL is the step's own tolerance; the other absorbs
-    the last-bit gap between numpy's ``p @ normal``, which may fuse the
-    multiply-add, and Python arithmetic, and the rounding of the clip
-    points: a few ulps on coordinates of order one.
+    once.  The reject is exact with respect to the stepwise clip
+    (``_clip_steps``).  Every point that clip makes is a convex combination
+    of subject vertices, so at that plane each has n . p - offset >
+    MERGE_TOL: the step keeps no point (it keeps those within MERGE_TOL) and
+    cuts no edge (a cut needs one end below -MERGE_TOL), so the clip is
+    empty there if not before.  One MERGE_TOL is the step's own tolerance;
+    the other absorbs the last-bit gap between numpy's ``p @ normal``, which
+    may fuse the multiply-add, and Python arithmetic, and the rounding of
+    the clip points: a few ulps on coordinates of order one.
     """
     sub = sub_pts.tolist()
     for _, _, _, (coeffs, limit) in halfspaces:
@@ -218,11 +208,17 @@ def clip_simplex_pair(sub_pts: np.ndarray, halfspaces):
                 break
         else:
             return [], []
-    clip = (_clip_segment, _clip_polygon, _clip_polyhedron)[sub_pts.shape[1] - 1]
+    return _clip_steps(sub_pts, halfspaces)
+
+
+def _clip_steps(sub_pts: np.ndarray, halfspaces):
+    """The subject simplex clipped by each half-space in turn: as a cycle
+    in 2D, as a vertex set in 1D and 3D."""
+    clip = _clip_polygon if sub_pts.shape[1] == 2 else _clip_vertex_set
     labels = _SUBJECT_LABELS[sub_pts.shape[0]]
     pts = list(sub_pts)
     for normal, offset, cut_label, _ in halfspaces:
-        pts, labels = clip(pts, labels, normal, offset, cut_label, MERGE_TOL)
+        pts, labels = clip(pts, labels, normal, offset, cut_label)
         if not pts:
             return [], []
     return pts, labels

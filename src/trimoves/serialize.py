@@ -21,6 +21,14 @@ class FormatError(Exception):
     pass
 
 
+def json_int(value, what: str = "vertex label") -> int:
+    """``value`` if it is a JSON integer.  A float, bool or string is a
+    TypeError, where ``int()`` would truncate or coerce it."""
+    if type(value) is not int:
+        raise TypeError(f"{what} {value!r} is not an integer")
+    return value
+
+
 def complex_to_dict(k: Complex) -> dict:
     return {
         "dimension": k.dimension,
@@ -35,7 +43,7 @@ def complex_from_dict(data: dict) -> Complex:
     except (KeyError, TypeError) as e:
         raise FormatError("missing maximal_simplexes") from e
     try:
-        k = close_under_faces([tuple(int(v) for v in s) for s in maxes])
+        k = close_under_faces([tuple(json_int(v) for v in s) for s in maxes])
     except (ValueError, TypeError) as e:
         raise FormatError(f"bad simplex data: {e}") from e
     if "dimension" in data and data["dimension"] != k.dimension:
@@ -43,7 +51,7 @@ def complex_from_dict(data: dict) -> Complex:
             f"declared dimension {data['dimension']} != actual {k.dimension}"
         )
     try:
-        declared = sorted(data.get("vertices", k.vertices()))
+        declared = sorted(json_int(v) for v in data.get("vertices", k.vertices()))
     except TypeError as e:
         raise FormatError(f"bad vertex list: {e}") from e
     if declared != k.vertices():
@@ -67,11 +75,12 @@ def subdivided_from_dict(data: dict) -> SubdividedComplex:
     child = complex_from_dict(data)
     try:
         carrier = {
-            tuple(int(v) for v in c): tuple(int(v) for v in p)
+            tuple(json_int(v) for v in c): tuple(json_int(v) for v in p)
             for c, p in data["carrier"]
         }
         apex_of = {
-            tuple(int(v) for v in s): int(b) for s, b in data.get("barycenters", [])
+            tuple(json_int(v) for v in s): json_int(b)
+            for s, b in data.get("barycenters", [])
         }
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"bad carrier or barycenter data: {e}") from e
@@ -86,10 +95,11 @@ def move_to_dict(m: PachnerMove) -> dict:
 
 def move_from_dict(data: dict) -> PachnerMove:
     """A move whose A and B are canonicalised like a complex's simplexes: an
-    empty, duplicated or negative vertex list is a FormatError."""
+    empty, duplicated or negative vertex list, or a label that is not an
+    integer, is a FormatError."""
     try:
         return PachnerMove(
-            simplex(int(v) for v in data["A"]), simplex(int(v) for v in data["B"])
+            simplex(json_int(v) for v in data["A"]), simplex(json_int(v) for v in data["B"])
         )
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"bad move data: {e}") from e

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
-from typing import Callable, Hashable, Iterable, Iterator, Optional
+from typing import Callable, Hashable, Iterable, Iterator
 
 from .complexes import Complex, Simplex, facets, join_simplexes
 
@@ -86,13 +86,7 @@ def identity_subdivision(k: Complex) -> SubdividedComplex:
     return SubdividedComplex(k, k, {s: s for s in k.simplexes})
 
 
-def partial_relative(
-    k: Complex,
-    alpha: SubdividedComplex,
-    r: int,
-    *,
-    max_simplexes: Optional[int] = None,
-) -> SubdividedComplex:
+def partial_relative(k: Complex, alpha: SubdividedComplex, r: int) -> SubdividedComplex:
     """Subdivision that keeps ``alpha`` on the r-skeleton and cones above.
 
     Parent simplexes of dimension at most ``r`` carry their alpha
@@ -117,7 +111,6 @@ def partial_relative(
     sub: dict[Simplex, set[Simplex]] = {}
     carrier: dict[Simplex, Simplex] = {}
     apex_of: dict[Simplex, int] = {}
-    total = 0  # each simplex is counted once, under its carrier
 
     for d in range(r + 1):
         for a in k.simplexes_of_dim(d):
@@ -127,16 +120,12 @@ def partial_relative(
             sub[a] = children
             for s in children:
                 carrier[s] = alpha.carrier[s]
-            total += sum(1 for s in children if alpha.carrier[s] == a)
-            _check_cap(total, max_simplexes)
     above = [a for d in range(r + 1, n + 1) for a in k.simplexes_of_dim(d)]
     first_label = max(k.max_label(), alpha.complex.max_label()) + 1
     for a, apex, cone in cone_faces(above, facets, sub, first_label):
         apex_of[a] = apex
         for s in cone:
             carrier[s] = a
-        total += len(cone)
-        _check_cap(total, max_simplexes)
 
     out: set[Simplex] = set()
     for a in k.maximal_simplexes():
@@ -167,16 +156,9 @@ def cone_faces(
         yield face, apex, sub[face] - boundary
 
 
-def _check_cap(total: int, max_simplexes: Optional[int]) -> None:
-    if max_simplexes is not None and total > max_simplexes:
-        raise ResourceCapExceeded(f"subdivision exceeds simplex cap {max_simplexes}")
-
-
 def barycentric(k: Complex) -> SubdividedComplex:
     """β K: cone every positive-dimensional simplex over its subdivided
     boundary from a fresh barycenter vertex; original vertices survive."""
-    if not k.simplexes:
-        return SubdividedComplex(k, k, {})
     return partial_relative(k, identity_subdivision(k), 0)
 
 
@@ -223,13 +205,7 @@ def iterated_barycentric(
         )
     current = identity_subdivision(k)
     for _ in range(m):
-        layer = partial_relative(
-            current.complex,
-            identity_subdivision(current.complex),
-            0,
-            max_simplexes=max_simplexes,
-        )
-        current = compose_carriers(layer, current)
+        current = compose_carriers(barycentric(current.complex), current)
     return current
 
 

@@ -323,12 +323,20 @@ def test_bad_torus_period_exit_2(tmp_path, capsys, period):
         ("subdivided", "barycenters", [[1, 2]], "bad carrier or barycenter data"),
         ("subdivided", "barycenters", [[[1], None]], "bad carrier or barycenter data"),
         ("geometric", "coordinates", [], "bad geometric data"),
+        ("complex", "maximal_simplexes", [[1.5, 2, 3]], "bad simplex data"),
+        ("complex", "maximal_simplexes", [[True, 2, 3]], "bad simplex data"),
+        ("complex", "vertices", [1.0, 2, 3, 4], "bad vertex list"),
+        ("subdivided", "barycenters", [[[1], 5.0]], "bad carrier or barycenter data"),
+        ("move", "A", [1.9], "bad move data"),
+        ("move", "A", [True, 2, 3], "bad move data"),
     ],
     ids=["vertices-int", "vertices-mixed", "barycenters-int", "barycenters-flat",
-         "barycenters-null", "coordinates-list"],
+         "barycenters-null", "coordinates-list", "simplex-float", "simplex-bool",
+         "vertices-float", "barycenters-float", "move-float", "move-bool"],
 )
 def test_malformed_field_exit_2(tmp_path, capsys, kind, key, value, message):
-    # each of these once escaped its loader as a TypeError or AttributeError
+    # the first six once escaped their loader as a TypeError or
+    # AttributeError; the rest were truncated or coerced by int()
     from trimoves.serialize import subdivided_to_dict
     from trimoves.subdivision import barycentric
 
@@ -338,6 +346,7 @@ def test_malformed_field_exit_2(tmp_path, capsys, kind, key, value, message):
         "complex": lambda: complex_to_dict(boundary_delta3()),
         "subdivided": lambda: subdivided_to_dict(barycentric(boundary_delta3())),
         "geometric": lambda: geom_complex_to_dict(grid_torus_complex(3)),
+        "move": lambda: {"A": [1, 2, 3], "B": [5]},
     }[kind]()
     data[key] = value
     path = tmp_path / "input.json"
@@ -346,21 +355,24 @@ def test_malformed_field_exit_2(tmp_path, capsys, kind, key, value, message):
         "complex": ["pachner", "enumerate", "--input", str(path)],
         "subdivided": ["reduce", "alpha2beta", "--complex", str(sphere), "--alpha", str(path)],
         "geometric": ["subdivide", "--input", str(path), "--mode", "geometric:1"],
+        "move": ["pachner", "apply", "--input", str(sphere), "--move", str(path)],
     }[kind]
     assert main(argv) == 2
     assert message in capsys.readouterr().err
 
 
-def test_relate_on_near_coincident_circles_exits_1(tmp_path, capsys):
+def test_relate_on_near_coincident_tori_exits_1(tmp_path, capsys):
     # a carrier too small for its simplex is a failed check of the common
     # subdivision, not an input error
     paths = []
-    for name, k in ("k1", circle_complex(3)), ("k2", circle_complex(3, offset=1e-10)):
+    pair = grid_torus_complex(3), grid_torus_complex(3, shift=(1e-9, 1e-9))
+    for name, k in zip(("k1", "k2"), pair):
         paths.append(tmp_path / f"{name}.json")
         paths[-1].write_text(dumps(geom_complex_to_dict(k)))
     assert main(["reduce", "relate", "--k1", str(paths[0]), "--k2", str(paths[1])]) == 1
     assert capsys.readouterr().err == (
-        "verification failure: common subdivision, side 1: carrier (1,) too small for (3, 13)\n"
+        "verification failure: common subdivision, side 1: "
+        "carrier (0, 3) too small for (0, 48, 122)\n"
     )
 
 
@@ -384,6 +396,19 @@ class TestBoundCli:
         inp = tmp_path / "mfd.json"
         inp.write_text(json.dumps({"geometry": "euclidean"}))
         assert main(["bound", "compute", "--input", str(inp)]) == 2
+
+    @pytest.mark.parametrize(
+        "key, value", [("n", 2.9), ("p", 10.7), ("q", True), ("n", "2")],
+        ids=["n-float", "p-float", "q-bool", "n-string"],
+    )
+    def test_non_integer_count_exit_2(self, tmp_path, capsys, key, value):
+        # int() once ran these as n = 2, p = 10 and q = 1
+        data = {"geometry": "euclidean", "n": 2, "lam": 1.0, "p": 10, "q": 12, "inj": 0.5}
+        data[key] = value
+        inp = tmp_path / "mfd.json"
+        inp.write_text(json.dumps(data))
+        assert main(["bound", "compute", "--input", str(inp)]) == 2
+        assert f"bad manifold data: {key} {value!r} is not an integer" in capsys.readouterr().err
 
     def test_bound_past_4300_digits(self, tmp_path):
         # total_bound here has 4,330 digits, past the default limit of

@@ -5,7 +5,9 @@ from trimoves.complexes import close_under_faces
 from trimoves.fixtures import grid_torus_complex, random_chart_pair
 from trimoves.geometry import GeomComplex, Geometry
 from trimoves.intersect import (
+    MERGE_TOL,
     IntersectionError,
+    _clip_steps,
     barycentric_polytopal,
     clip_simplex_pair,
     commonsub_count_check,
@@ -57,6 +59,17 @@ class TestClipPair:
         b = np.array([[1.6, 1.6], [-0.4, 1.6], [1.6, -0.4]])
         pts, _ = clip_simplex_pair(a, simplex_halfspaces(b))
         assert len(pts) == 6  # hexagonal overlap of two opposite triangles
+
+    @pytest.mark.parametrize("kept", [0, 1])
+    def test_segment_end_within_tolerance_of_the_plane_is_kept_not_cut(self, kept):
+        # the end within MERGE_TOL of the clipper's plane x = 1 is kept and
+        # labelled with that plane; a cut beside it would be the same point
+        # under a second carrier key
+        ends = [[1 + MERGE_TOL / 2], [2.0]]
+        sub = np.array(ends if kept == 0 else ends[::-1])
+        pts, labels = clip_simplex_pair(sub, simplex_halfspaces(np.array([[0.0], [1.0]])))
+        assert [p.tolist() for p in pts] == [[1 + MERGE_TOL / 2]]
+        assert labels == [frozenset({("sub", 1 - kept), ("cut", 0)})]
 
 
 class TestIntersectLinear:
@@ -530,21 +543,6 @@ class TestThreeD:
         assert vol == pytest.approx(mc, rel=0.05)
 
 
-def clip_without_reject(sub_pts, halfspaces):
-    """``clip_simplex_pair``'s stepwise clip alone, with no trivial reject."""
-    from trimoves.intersect import MERGE_TOL, _clip_polygon, _clip_polyhedron, _clip_segment
-
-    clip = (_clip_segment, _clip_polygon, _clip_polyhedron)[sub_pts.shape[1] - 1]
-    k = sub_pts.shape[0]
-    labels = [frozenset(("sub", f) for f in range(k) if f != i) for i in range(k)]
-    pts = list(sub_pts)
-    for normal, offset, label, _ in halfspaces:
-        pts, labels = clip(pts, labels, normal, offset, label, MERGE_TOL)
-        if not pts:
-            break
-    return pts, labels
-
-
 def reject_fixture(name):
     """(k1, k2, intersect) for the trivial-reject oracle."""
     from trimoves.fixtures import circle_complex
@@ -599,7 +597,8 @@ class TestTrivialReject:
 
         def checked(sub_pts, halfspaces):
             pts, labels = real(sub_pts, halfspaces)
-            want_pts, want_labels = clip_without_reject(sub_pts, halfspaces)
+            # the stepwise clip alone, with no trivial reject
+            want_pts, want_labels = _clip_steps(sub_pts, halfspaces)
             assert len(pts) == len(want_pts)
             assert all(np.array_equal(p, q) for p, q in zip(pts, want_pts))
             assert labels == want_labels

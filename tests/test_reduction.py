@@ -262,10 +262,11 @@ class TestBetaSquaredBridge:
 
 def near_coincident(kind, g1, g2, e):
     """A valid input pair a tiny shift e apart: the g1 and g2 grid tori,
-    the second shifted by (e, e), or two 3-vertex circles offset by e."""
+    the second shifted by (e, e), or the g1- and g2-vertex circles, the
+    second offset by e."""
     if kind == "torus":
         return grid_torus_complex(g1), grid_torus_complex(g2, shift=(e, e))
-    return circle_complex(3), circle_complex(3, offset=e)
+    return circle_complex(g1), circle_complex(g2, offset=e)
 
 
 NOT_PURE = "side 1: S((0, 1, 4)): star neighbourhood is not pure"
@@ -286,18 +287,14 @@ NEAR_COINCIDENT = [
         "side 1: S((0, 1, 5)): star neighbourhood is not pure",
     ),
     (("torus", 3, 6, 1e-7), ReductionError, NOT_PURE),
-    (
-        ("circle", 3, 3, 1e-9),
-        IntersectionError,
-        "common subdivision, side 1: carrier (0,) too small for (3, 10)",
-    ),
-] + [
-    (
-        ("circle", 3, 3, e),
-        IntersectionError,
-        "common subdivision, side 1: carrier (1,) too small for (3, 13)",
-    )
-    for e in (5e-10, 1e-10, 1e-11)
+]
+# circles offset by 1e-9 to 1e-12 relate: the clip keeps a segment end that
+# lies within MERGE_TOL of the clipper's plane, and cuts no sliver beside it
+NEAR_COINCIDENT_CIRCLES = [
+    (g1, g2, e)
+    for g1 in (3, 4, 5)
+    for g2 in (3, 4, 6)
+    for e in (1e-9, 5e-10, 1e-10, 1e-11, 1e-12)
 ]
 
 
@@ -370,6 +367,11 @@ class TestRelate:
         # (the reduction's), never as an untyped ValueError
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             relate(*near_coincident(*pair))
+
+    @pytest.mark.parametrize("g1, g2, e", NEAR_COINCIDENT_CIRCLES)
+    def test_near_coincident_circles_relate_and_replay(self, g1, g2, e):
+        res = relate(*near_coincident("circle", g1, g2, e))
+        replay_verified(res.start, res.sequence, expect=res.end)
 
     @pytest.mark.parametrize("side", [1, 2])
     def test_common_subdivision_count_bound_checked_on_both_sides(self, monkeypatch, side):
