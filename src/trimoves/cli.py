@@ -47,6 +47,7 @@ from .serialize import (
     geom_complex_from_dict,
     geom_complex_to_dict,
     json_int,
+    json_number,
     loads,
     move_from_dict,
     polytopal_to_dict,
@@ -322,17 +323,19 @@ def cmd_intersect(args) -> int:
 def cmd_bound(args) -> int:
     data = _read_json(args.input)
     try:
+        given = [key for key in ("inj", "vol", "diam", "lam_min") if data.get(key) is not None]
+        optional = {key: json_number(data[key], key) for key in given}
+        orientable = data.get("orientable", True)
+        if type(orientable) is not bool:
+            raise TypeError(f"orientable {orientable!r} is not true or false")
         md = ManifoldData(
             tag=Geometry(data["geometry"]),
             n=json_int(data["n"], "n"),
-            lam=float(data["lam"]),
+            lam=float(json_number(data["lam"], "lam")),
             p=json_int(data["p"], "p"),
             q=json_int(data["q"], "q"),
-            inj=data.get("inj"),
-            vol=data.get("vol"),
-            diam=data.get("diam"),
-            lam_min=data.get("lam_min"),
-            orientable=bool(data.get("orientable", True)),
+            orientable=orientable,
+            **optional,
         )
     except (KeyError, ValueError, TypeError) as e:
         raise CliError(EXIT_INPUT, f"bad manifold data: {e}") from e

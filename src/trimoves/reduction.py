@@ -2,9 +2,9 @@
 end-to-end pipeline relating two geometric triangulations.
 
 ``alpha_to_beta`` walks the partial-subdivision ladder downwards: at level r
-it stars, for every r-simplex A of the parent, the join S(A) of the
-restricted subdivision over A with the link chains above A, replacing it by
-a cone from a fresh apex.  The apexes give the vertex correspondence for
+it stars, for every r-simplex A of the parent K, the star neighbourhood
+S(A) = α|A ⋆ β(lk_K A), built from K and the apex map, replacing it by a
+cone from a fresh apex.  The apexes give the vertex correspondence for
 free: after level r the working complex, relabelled by the apex map, is
 equal to the partial subdivision at level r - 1, and at the end to the plain
 barycentric subdivision of the parent, whatever its size.  No parent vertex
@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .bounds import depth_m, reduction_level_bound, reduction_sum_bound, bridge_sum_bound, commonsub_rows, commonsub_violation, mu, total_bound
-from .complexes import Complex, Isomorphism, Simplex, WorkingComplex, join_simplexes
+from .complexes import Complex, Isomorphism, Simplex, WorkingComplex, facets, join_simplexes
 from .complexes import find_isomorphism  # noqa: F401  unused; perfbench's tracer patches it here
 from .geometry import GeomComplex, Geometry, geometric_barycentric
 from .intersect import CommonSubdivision, IntersectionError, barycentric_polytopal, torus_intersect
@@ -65,28 +65,18 @@ class ReductionTrace:
     shellings_reused: int = 0
 
 
-def _link_chain_part(work: WorkingComplex, tops_a: list[Simplex], alpha_vertices: set[int]) -> set[Simplex]:
-    """Simplexes t disjoint from the restricted subdivision joining every
-    top simplex of it inside the working complex."""
-    first = tops_a[0]
-    candidates = {
-        t
-        for t in work.link_simplexes(first)
-        if not (set(t) & alpha_vertices)
-    }
-    for s in tops_a[1:]:
-        if not candidates:
-            break
-        sset = set(s)
-        candidates = {
-            t
-            for t in candidates
-            if not (set(t) & sset) and tuple(sorted(t + s)) in work
-        }
-    return candidates
+def _link_chains(lk: set[Simplex], a: Simplex, apex_of: dict[Simplex, int]) -> set[Simplex]:
+    """β(lk A) on the apexes: every chain c₁ ⊊ … ⊊ c_j of simplexes of
+    ``lk``, the link of A in the parent, as the sorted tuple of
+    ``apex_of[A ∪ cᵢ]``.  Each link simplex, in order of size, is coned from
+    its apex over the chains of its facets."""
+    chains: dict[Simplex, set[Simplex]] = {}
+    for c in sorted(lk, key=len):
+        below = set().union(*map(chains.__getitem__, facets(c)))
+        chains[c] = join_simplexes({(apex_of[tuple(sorted(a + c))],)}, below)
+    return set().union(*chains.values())
 
 
-SHELLING_NODE_CAP = 2_000_000  # node budget of one star-neighbourhood shelling search
 BRIDGE_LAYERS = 2  # barycentric layers beta2_bridge puts on kprime
 
 
@@ -113,7 +103,7 @@ def memoized_shelling(ball: Complex, memo: dict) -> tuple[Optional[Shelling], bo
     stored = memo.get(key)
     if stored is not None:
         return stored.relabel(vertices), True
-    shelling = find_shelling(ball, max_nodes=SHELLING_NODE_CAP)
+    shelling = find_shelling(ball)
     if shelling is not None:
         memo[key] = shelling.relabel(rank)
     return shelling, False
@@ -130,6 +120,19 @@ def alpha_to_beta(
     ``alpha`` fails ``SubdividedComplex.validate``.  Each order type of S(A)
     is searched once per call (``memoized_shelling``); every move is still
     checked against the working complex, and every level exactly.
+
+    S(A) = α|A ⋆ β(lk_K A) is built from its definition (``_link_chains``),
+    and only the moves and the level check read the working complex.  This
+    is the star neighbourhood of α|A there: at the start of level r the
+    working complex is P_r relabelled, the partial subdivision at level r
+    (``_check_level`` checks it after level r + 1; at r = n it is α).  In
+    P_r every simplex through a top s of α|A is s ∪ (a chain of apexes over
+    cofaces of A), as s is maximal among the α-simplexes carried in the
+    r-skeleton, and starring another r-simplex A′ never touches s, whose
+    carrier A is not a face of A′.  Each top of S(A) contains a top of α|A,
+    and the moves check that it is maximal in the working complex.  K is a
+    closed pseudomanifold, so lk A is pure of dimension n − r − 1 and S(A)
+    is n-dimensional.
     """
     if not k.is_closed_pseudomanifold():
         raise ReductionError("the parent complex must be a closed pseudomanifold")
@@ -141,6 +144,7 @@ def alpha_to_beta(
     s_counts = skeleton_counts(alpha)
 
     work = WorkingComplex(alpha.complex, reserve_above=k.max_label())
+    parent = WorkingComplex(k)
     kvertex_of = {
         s[0]: alpha.carrier[s][0]
         for s in alpha.complex.simplexes
@@ -155,31 +159,20 @@ def alpha_to_beta(
         level_moves = 0
         for a in k.simplexes_of_dim(r):
             children = alpha.children_with_carrier_in(a)
-            tops_a = sorted(s for s in children if len(s) == r + 1)
-            if not tops_a:
+            if not any(len(s) == r + 1 for s in children):
                 raise ReductionError(f"alpha restricted to {a} has no top simplexes")
-            for s in tops_a:
-                if s not in work:
-                    raise ReductionError(
-                        f"restricted subdivision simplex {s} vanished from the complex"
-                    )
-            alpha_vertices = {v for s in children for v in s}
-            l_part = _link_chain_part(work, tops_a, alpha_vertices)
-            ball = Complex(join_simplexes(children, l_part), _assume_closed=True)
-            if ball.dimension != n:
-                raise ReductionError(f"S({a}) is not full-dimensional")
+            chains = _link_chains(parent.link_simplexes(a), a, trace.apex_of)
+            ball = Complex(join_simplexes(children, chains), _assume_closed=True)
             if not ball.is_pure():
                 raise ReductionError(f"S({a}): star neighbourhood is not pure")
             shelling, reused = memoized_shelling(ball, memo)
-            if reused:
-                trace.shellings_reused += 1
-            else:
-                trace.shellings_searched += 1
+            trace.shellings_reused += reused
+            trace.shellings_searched += not reused
             if shelling is None:
                 raise ReductionError(f"S({a}): star neighbourhood is not shellable")
             apex = work.fresh_label()
             try:
-                mvs = star_ball_inplace(work, ball, shelling, apex, n)
+                mvs = star_ball_inplace(work, shelling, apex, n)
             except ShellingError as e:
                 raise ShellingError(f"starring S({a}): {e}") from e
             trace.apex_of[a] = apex

@@ -29,6 +29,13 @@ def json_int(value, what: str = "vertex label") -> int:
     return value
 
 
+def json_number(value, what: str):
+    """``value`` if it is a JSON int or float; a bool or string is a TypeError."""
+    if type(value) not in (int, float):
+        raise TypeError(f"{what} {value!r} is not a number")
+    return value
+
+
 def complex_to_dict(k: Complex) -> dict:
     return {
         "dimension": k.dimension,
@@ -139,10 +146,11 @@ def geom_complex_from_dict(data: dict) -> GeomComplex:
     k = complex_from_dict(data)
     try:
         tag = Geometry(data["geometry"])
-        coords = {
-            int(v): np.asarray([float(x) for x in xs])
-            for v, xs in data["coordinates"].items()
-        }
+        coords = {}
+        for v, xs in data["coordinates"].items():
+            if str(int(v)) != v:
+                raise ValueError(f"coordinate key {v!r} is not a vertex label")
+            coords[int(v)] = np.asarray([float(json_number(x, "coordinate")) for x in xs])
     except (KeyError, ValueError, TypeError, AttributeError) as e:
         raise FormatError(f"bad geometric data: {e}") from e
     period = data.get("torus_period")

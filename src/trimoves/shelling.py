@@ -26,6 +26,9 @@ from .pachner import (
 from .pachner import apply_move_inplace  # noqa: F401  unused; perfbench's tracer patches it here
 
 
+SHELLING_NODE_CAP = 2_000_000  # steps one complete shelling search may try
+
+
 class ShellingError(Exception):
     """A starring step failed its ambient validity check."""
 
@@ -177,9 +180,6 @@ class _BallState:
         self.tops.add(t)
         self.boundary.replace(_facets_off(t, step.b), _facets_off(t, step.a))
 
-    def state_key(self) -> frozenset:
-        return frozenset(self.tops)
-
 
 def _facets_off(t: Simplex, side: Simplex) -> list[Simplex]:
     """The facets t∖{x} of t for x ∈ side."""
@@ -235,16 +235,15 @@ def _greedy_shelling(state: _BallState) -> Optional[Shelling]:
     return Shelling(tuple(steps), next(iter(state.tops)))
 
 
-def find_shelling(
-    ball: Complex, *, max_nodes: int = 500_000
-) -> Optional[Shelling]:
+def find_shelling(ball: Complex) -> Optional[Shelling]:
     """Backtracking search for a complete shelling.
 
     A greedy worklist pass runs first (it cannot get stuck in dimension at
     most 2, and usually succeeds above); the complete memoized DFS is the
     fallback.  Returns None only after exhausting the search space, so a
-    None is a certificate of non-shellability; hitting the node cap raises
-    SearchCapExceeded instead ("undecided"), never a false negative.
+    None is a certificate of non-shellability; trying more than
+    ``SHELLING_NODE_CAP`` steps raises SearchCapExceeded instead
+    ("undecided"), never a false negative.
 
     The result commutes with order-preserving relabellings: for a pure ball
     and a bijection φ of its vertices with φ(u) < φ(v) whenever u < v, the
@@ -262,16 +261,13 @@ def find_shelling(
     The purity test, the top count and the node count do not depend on the
     labels at all.  ``reduction.memoized_shelling`` relies on this.
     """
-    # the empty complex has an empty f-vector; it is rejected below
-    if ball.simplexes and ball.f_vector()[-1] > 1:
-        greedy = _greedy_shelling(_BallState(ball))
-        if greedy is not None:
-            return greedy
     state = _BallState(ball)
-    if len(state.tops) == 0:
+    if not state.tops:
         raise ValueError("empty complex has no shelling")
-    if len(state.tops) == 1:
-        return Shelling((), next(iter(state.tops)))
+    greedy = _greedy_shelling(state)  # one top is its own shelling: the DFS sees two or more
+    if greedy is not None:
+        return greedy
+    state = _BallState(ball)
 
     failed: set[frozenset] = set()
     path: list[ShellingStep] = []
@@ -284,20 +280,20 @@ def find_shelling(
         step = next(it, None)
         if step is None:
             # dead end at this state: memoize and backtrack one step
-            failed.add(state.state_key())
+            failed.add(frozenset(state.tops))
             stack.pop()
             if entered_by is not None:
                 state.undo(entered_by)
                 path.pop()
             continue
         nodes += 1
-        if nodes > max_nodes:
-            raise SearchCapExceeded(f"shelling search exceeded {max_nodes} nodes")
+        if nodes > SHELLING_NODE_CAP:
+            raise SearchCapExceeded(f"shelling search exceeded {SHELLING_NODE_CAP} nodes")
         state.apply(step)
         path.append(step)
         if len(state.tops) == 1:
             return Shelling(tuple(path), next(iter(state.tops)))
-        if state.state_key() in failed:
+        if frozenset(state.tops) in failed:
             state.undo(step)
             path.pop()
             continue
@@ -327,23 +323,16 @@ def starring_moves(shelling: Shelling, apex: int) -> list[PachnerMove]:
 
 
 def star_ball_inplace(
-    work: WorkingComplex, ball: Complex, shelling: Shelling, apex: int, n: int
+    work: WorkingComplex, shelling: Shelling, apex: int, n: int
 ) -> list[PachnerMove]:
-    """Star a full-dimensional ball, shelled by ``shelling``, inside an
-    n-dimensional working complex from the fresh vertex ``apex``.
+    """Star the ball shelled by ``shelling`` inside an n-dimensional working
+    complex from the fresh vertex ``apex``.
 
     Every move is checked against the ambient complex before it is applied
     (the link of A must be exactly ∂(apex ⋆ B)), which turns the
-    containment argument for stars of interior faces into a runtime check.
-    Returns the applied moves.
+    containment argument for stars of interior faces into a runtime check;
+    each top of the ball must be maximal there.  Returns the applied moves.
     """
-    if ball.dimension != n:
-        raise ShellingError("ball is not full-dimensional in the ambient complex")
-    for s in ball.top_simplexes():
-        if s not in work:
-            raise ShellingError(f"ball top simplex {s} missing from ambient complex")
-    if (apex,) in work:
-        raise ShellingError(f"apex {apex} already present in ambient complex")
     moves = starring_moves(shelling, apex)
     try:
         apply_moves(work, moves, n)
@@ -364,10 +353,16 @@ def star_via_shelling(
     shelling = find_shelling(ball)
     if shelling is None:
         raise ShellingError("ball is not shellable")
+    if ball.dimension != ambient.dimension:
+        raise ShellingError("ball is not full-dimensional in the ambient complex")
     work = WorkingComplex(ambient)
-    if apex is None:
-        apex = work.fresh_label()
-    moves = star_ball_inplace(work, ball, shelling, apex, ambient.dimension)
+    for s in ball.top_simplexes():
+        if s not in work:
+            raise ShellingError(f"ball top simplex {s} missing from ambient complex")
+    apex = work.fresh_label() if apex is None else apex
+    if (apex,) in work:
+        raise ShellingError(f"apex {apex} already present in ambient complex")
+    moves = star_ball_inplace(work, shelling, apex, ambient.dimension)
     result = work.snapshot()
     if work.link_simplexes((apex,)) != boundary_complex(ball).simplexes:
         raise ShellingError("starred apex link does not equal the ball boundary")

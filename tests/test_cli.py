@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import time
 from decimal import Decimal
@@ -171,6 +172,22 @@ class TestShellCli:
         cert = json.loads(out.read_text())["shelling"]
         assert len(cert["steps"]) == 1
 
+    @pytest.mark.parametrize("apex", [None, 9], ids=["fresh", "given"])
+    def test_star_replaces_the_ball_by_a_cone(self, sphere_file, tmp_path, apex):
+        from trimoves.complexes import close_under_faces
+
+        ball = tmp_path / "ball.json"
+        ball.write_text(dumps(complex_to_dict(close_under_faces([(1, 2, 3)]))))
+        out = tmp_path / "star.json"
+        argv = ["shell", "star", "--ambient", sphere_file, "--ball", str(ball), "--output", str(out)]
+        assert main(argv + ([] if apex is None else ["--apex", str(apex)])) == 0
+        data = json.loads(out.read_text())
+        w = 5 if apex is None else apex
+        assert data["sequence"]["moves"] == [{"A": [1, 2, 3], "B": [w], "fresh": [w]}]
+        assert data["result"]["maximal_simplexes"] == sorted(
+            [[1, 2, 4], [1, 3, 4], [2, 3, 4]] + [sorted(e + [w]) for e in ([1, 2], [1, 3], [2, 3])]
+        )
+
     def test_star_with_conflicting_apex_exit_1(self, sphere_file, tmp_path):
         from trimoves.complexes import close_under_faces
 
@@ -314,6 +331,9 @@ def test_bad_torus_period_exit_2(tmp_path, capsys, period):
         assert "torus_period must be a positive finite number" in capsys.readouterr().err
 
 
+GRID3_COORDINATES = geom_complex_to_dict(grid_torus_complex(3))["coordinates"]
+
+
 @pytest.mark.parametrize(
     "kind, key, value, message",
     [
@@ -329,14 +349,26 @@ def test_bad_torus_period_exit_2(tmp_path, capsys, period):
         ("subdivided", "barycenters", [[[1], 5.0]], "bad carrier or barycenter data"),
         ("move", "A", [1.9], "bad move data"),
         ("move", "A", [True, 2, 3], "bad move data"),
+        ("geometric", "coordinates",
+         {("01" if v == "1" else v): xs for v, xs in GRID3_COORDINATES.items()},
+         "bad geometric data: coordinate key '01' is not a vertex label"),
+        ("geometric", "coordinates", {**GRID3_COORDINATES, " 1": GRID3_COORDINATES["1"]},
+         "bad geometric data: coordinate key ' 1' is not a vertex label"),
+        ("geometric", "coordinates", {**GRID3_COORDINATES, "1": [0.0, "0.333"]},
+         "bad geometric data: coordinate '0.333' is not a number"),
+        ("geometric", "coordinates", {**GRID3_COORDINATES, "1": [False, 1 / 3]},
+         "bad geometric data: coordinate False is not a number"),
     ],
     ids=["vertices-int", "vertices-mixed", "barycenters-int", "barycenters-flat",
          "barycenters-null", "coordinates-list", "simplex-float", "simplex-bool",
-         "vertices-float", "barycenters-float", "move-float", "move-bool"],
+         "vertices-float", "barycenters-float", "move-float", "move-bool",
+         "coordinate-key-padded", "coordinate-key-spaced", "coordinate-string",
+         "coordinate-bool"],
 )
 def test_malformed_field_exit_2(tmp_path, capsys, kind, key, value, message):
     # the first six once escaped their loader as a TypeError or
-    # AttributeError; the rest were truncated or coerced by int()
+    # AttributeError; the rest were truncated or coerced by int() or
+    # float(), and " 1" silently replaced vertex 1's coordinates
     from trimoves.serialize import subdivided_to_dict
     from trimoves.subdivision import barycentric
 
@@ -409,6 +441,46 @@ class TestBoundCli:
         inp.write_text(json.dumps(data))
         assert main(["bound", "compute", "--input", str(inp)]) == 2
         assert f"bad manifold data: {key} {value!r} is not an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("orientable", "false", "orientable 'false' is not true or false"),
+         ("lam", True, "lam True is not a number"),
+         ("lam", "1.0", "lam '1.0' is not a number"),
+         ("inj", True, "inj True is not a number"),
+         ("vol", "1.0", "vol '1.0' is not a number")],
+        ids=["orientable-string", "lam-bool", "lam-string", "inj-bool", "vol-string"],
+    )
+    def test_non_number_field_exit_2(self, tmp_path, capsys, key, value, message):
+        # bool() once read "false" as true and float() took true and "1.0"
+        # as 1.0; all of these exited 0
+        data = {"geometry": "hyperbolic", "n": 3, "lam": 1.0, "p": 10, "q": 12, "vol": 1.0}
+        data[key] = value
+        inp = tmp_path / "mfd.json"
+        inp.write_text(json.dumps(data))
+        assert main(["bound", "compute", "--input", str(inp)]) == 2
+        assert f"bad manifold data: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("orientable, volhyp_m", [(True, 35), (False, 134)])
+    def test_orientable_flag(self, tmp_path, orientable, volhyp_m):
+        inp = tmp_path / "mfd.json"
+        inp.write_text(json.dumps({
+            "geometry": "hyperbolic", "n": 3, "lam": 1.0, "p": 10, "q": 12, "vol": 1.0,
+            "orientable": orientable,
+        }))
+        out = tmp_path / "report.json"
+        assert main(["bound", "compute", "--input", str(inp), "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["report"]["values"]["volhyp_m"] == str(volhyp_m)
+
+    def test_without_inj_or_vol_m_is_one(self, tmp_path):
+        inp = tmp_path / "mfd.json"
+        inp.write_text(json.dumps({"geometry": "euclidean", "n": 2, "lam": 1.0, "p": 10, "q": 12}))
+        out = tmp_path / "report.json"
+        assert main(["bound", "compute", "--input", str(inp), "--output", str(out)]) == 0
+        report = json.loads(out.read_text())["report"]
+        assert report["m"] == 1
+        assert "no injectivity radius available; m defaulted to 1" in report["notes"]
+        assert "inj_used" not in report["values"]
 
     def test_bound_past_4300_digits(self, tmp_path):
         # total_bound here has 4,330 digits, past the default limit of
@@ -521,3 +593,45 @@ def test_missing_action_file_exit_2(argv, option, capsys):
     err = capsys.readouterr().err
     assert option in err
     assert "Traceback" not in err
+
+
+def unit(*x):
+    return [c / math.sqrt(sum(y * y for y in x)) for c in x]
+
+
+def lorentz(x, y):
+    """The point over (x, y) on the upper sheet of the hyperboloid."""
+    return [x, y, math.sqrt(1 + x * x + y * y)]
+
+
+@pytest.mark.parametrize(
+    "geometry, points, error",
+    [
+        ("spherical", [unit(1, .1, .1), unit(.1, 1, .1), unit(.1, .1, 1)], None),
+        ("spherical", [[1.1, 0, 0], unit(.1, 1, .1), unit(.1, .1, 1)],
+         "spherical point off the unit sphere"),
+        ("spherical", [[1, 0, 0], [0, 1, 0], [-0.6, 0, 0.8]],
+         "spherical simplex with an edge longer than pi/2"),
+        ("hyperbolic", [lorentz(0, 0), lorentz(.3, 0), lorentz(0, .3)], None),
+        ("hyperbolic", [[0, 0, 2], lorentz(.3, 0), lorentz(0, .3)],
+         "hyperbolic point off the hyperboloid"),
+    ],
+    ids=["spherical", "off-sphere", "long-edge", "hyperbolic", "off-hyperboloid"],
+)
+def test_curved_triangle_subdivides_or_exits_2(tmp_path, capsys, geometry, points, error):
+    # a valid triangle subdivides geometrically; a failed check of
+    # GeomComplex.validate is an input error that names it
+    data = {"geometry": geometry, "maximal_simplexes": [[0, 1, 2]],
+            "coordinates": {str(v): x for v, x in enumerate(points)}}
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "sub.json"
+    code = main(["subdivide", "--input", str(path), "--mode", "geometric:1", "--output", str(out)])
+    if error is None:
+        assert code == 0
+        sub = json.loads(out.read_text())["geometric_complex"]
+        assert sub["geometry"] == geometry
+        assert len(sub["maximal_simplexes"]) == 6
+    else:
+        assert code == 2
+        assert error in capsys.readouterr().err

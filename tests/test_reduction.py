@@ -1,6 +1,8 @@
 import hashlib
 import importlib.util
+import itertools
 import json
+import random
 import re
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ import pytest
 
 from trimoves.bounds import barymoves_bound, reduction_sum_bound, bridge_sum_bound
 from trimoves.complexes import WorkingComplex, close_under_faces, find_isomorphism
-from trimoves.fixtures import circle_complex, grid_torus_complex
+from trimoves.fixtures import circle_complex, grid_torus_complex, random_closed_surface
 from trimoves.intersect import IntersectionError
 from trimoves import bounds, reduction, serialize
 from trimoves.pachner import apply_moves, apply_sequence, replay_verified
@@ -25,6 +27,7 @@ from trimoves.subdivision import (
     barycentric,
     identity_subdivision,
     iterated_barycentric,
+    partial_relative,
     skeleton_counts,
 )
 from .test_complexes import boundary_delta3
@@ -199,6 +202,67 @@ class TestAlphaToBeta:
         k = boundary_delta3()
         with pytest.raises(ReductionError, match=r"^S\(\(\d+, \d+, \d+\)\): star neighbourhood"):
             alpha_to_beta(k, identity_subdivision(k))
+
+
+def searched_link_chains(work, tops_a, alpha_vertices):
+    """The link part of S(A) found by a search of the working complex: the
+    simplexes off the vertices of α|A that join every top of α|A there."""
+    candidates = {t for t in work.link_simplexes(tops_a[0]) if not set(t) & alpha_vertices}
+    for s in tops_a[1:]:
+        candidates = {
+            t for t in candidates if not set(t) & set(s) and tuple(sorted(t + s)) in work
+        }
+    return candidates
+
+
+def link_chain_case(kind, size, m, monkeypatch):
+    """(parent, alpha) for ``test_link_chains_equal_the_working_complex_search``:
+    β^m of ∂Δ^size, β^m of the seeded surface ``size``, or side 1 of the
+    size × size grid torus related to its shift by (1/6, 1/6)."""
+    if kind == "torus":
+        seen = []
+        real = reduction.alpha_to_beta
+
+        def spy(k, alpha):
+            seen.append((k, alpha))
+            return real(k, alpha)
+
+        monkeypatch.setattr(reduction, "alpha_to_beta", spy)
+        relate(grid_torus_complex(size), grid_torus_complex(size, shift=(1 / 6, 1 / 6)), verify=False)
+        return seen[0]
+    if kind == "surface":
+        k = random_closed_surface(random.Random(size), 3)
+    else:
+        k = close_under_faces(itertools.combinations(range(size + 1), size))
+    return k, iterated_barycentric(k, m)
+
+
+@pytest.mark.parametrize(
+    "kind, size, m",
+    [("sphere", 3, 1), ("sphere", 3, 2), ("sphere", 4, 1), ("sphere", 4, 2),
+     ("surface", 0, 2), ("surface", 1, 2), ("torus", 3, None)],
+    ids=["delta3-m1", "delta3-m2", "delta4-m1", "delta4-m2", "surface0", "surface1", "torus-side1"],
+)
+def test_link_chains_equal_the_working_complex_search(monkeypatch, kind, size, m):
+    # S(A)'s link part, built from the parent's link of A and the apex map,
+    # is what a search of the partial subdivision at level r finds, for
+    # every level r and every r-simplex A
+    k, alpha = link_chain_case(kind, size, m, monkeypatch)
+    assert k.dimension == (size - 1 if kind == "sphere" else 2)
+    parent = WorkingComplex(k)
+    checked = 0
+    for r in range(k.dimension, 0, -1):
+        reference = partial_relative(k, alpha, r)
+        work = WorkingComplex(reference.complex)
+        for a in k.simplexes_of_dim(r):
+            children = alpha.children_with_carrier_in(a)
+            tops_a = sorted(s for s in children if len(s) == r + 1)
+            want = searched_link_chains(work, tops_a, {v for s in children for v in s})
+            got = reduction._link_chains(parent.link_simplexes(a), a, reference.apex_of)
+            assert got == want, (r, a)
+            assert bool(want) == (r < k.dimension)
+            checked += 1
+    assert checked == sum(k.f_vector()[1:])
 
 
 class TestBetaSquaredBridge:

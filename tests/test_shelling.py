@@ -6,7 +6,7 @@ import pytest
 
 from trimoves import reduction
 from trimoves.complexes import Complex, Isomorphism, close_under_faces, cone
-from trimoves.fixtures import random_closed_surface
+from trimoves.fixtures import random_ball_2d, random_ball_3d, random_closed_surface
 from trimoves.pachner import SearchCapExceeded, apply_sequence
 from trimoves.reduction import memoized_shelling
 from trimoves.shelling import (
@@ -209,23 +209,30 @@ class TestFindShelling:
         assert sh is not None and len(sh.steps) == 2
         assert verify_shelling(ball, sh)
 
-    def test_cap_raises(self):
+    def test_cap_raises(self, monkeypatch):
         # the full search honours the node budget; hitting it is reported
         # as "undecided", never as a false non-shellable
         ball = close_under_faces([(1, 2, 3, 4), (2, 3, 4, 5), (3, 4, 5, 6)])
-        import trimoves.shelling as sh
+        assert _BallState(ball).candidate_steps()
+        # bypass the greedy fast path to hit the DFS budget directly
+        monkeypatch.setattr("trimoves.shelling._greedy_shelling", lambda s: None)
+        monkeypatch.setattr("trimoves.shelling.SHELLING_NODE_CAP", 0)
+        with pytest.raises(SearchCapExceeded, match="exceeded 0 nodes"):
+            find_shelling(ball)
 
-        state = sh._BallState(ball)
-        with pytest.raises(SearchCapExceeded):
-            # bypass the greedy fast path to hit the DFS budget directly
-            steps = state.candidate_steps()
-            assert steps
-            sh_old = sh._greedy_shelling
-            sh._greedy_shelling = lambda s: None
-            try:
-                find_shelling(ball, max_nodes=0)
-            finally:
-                sh._greedy_shelling = sh_old
+    @pytest.mark.parametrize(
+        "ball",
+        [random_ball_2d(random.Random(seed), 3 + 3 * seed) for seed in range(4)]
+        + [random_ball_3d(random.Random(seed), 2 + 2 * seed) for seed in range(4)],
+        ids=[f"2d-{seed}" for seed in range(4)] + [f"3d-{seed}" for seed in range(4)],
+    )
+    def test_dfs_alone_finds_a_shelling(self, monkeypatch, ball):
+        # the complete search is the fallback for a ball that sticks the
+        # greedy; with the greedy off it must still return a shelling
+        monkeypatch.setattr("trimoves.shelling._greedy_shelling", lambda s: None)
+        sh = find_shelling(ball)
+        assert sh is not None and len(sh.steps) == ball.f_vector()[-1] - 1
+        assert verify_shelling(ball, sh)
 
     def test_closed_complex_has_no_steps(self):
         # a closed pseudomanifold has no boundary, so no step qualifies and
