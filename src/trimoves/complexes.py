@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from itertools import chain, combinations, permutations, repeat
 from typing import Collection, Iterable, Iterator, Optional, Sequence
 
+import orjson
+
 Vertex = int
 Simplex = tuple[int, ...]
 
@@ -53,7 +55,7 @@ class Complex:
     simplexes, found on first use or handed over by a snapshot.  It keeps
     no per-vertex index; ``WorkingComplex(k)`` answers face queries."""
 
-    __slots__ = ("_simplexes", "_dim", "_maximal", "_fvec", "_hash")
+    __slots__ = ("_simplexes", "_dim", "_maximal", "_fvec", "_hash", "_digest")
 
     def __init__(self, simplexes: Iterable[Simplex], *, _assume_closed: bool = False):
         simps = frozenset(simplexes)
@@ -71,6 +73,7 @@ class Complex:
         self._maximal: Optional[tuple[Simplex, ...]] = None
         self._fvec: Optional[tuple[int, ...]] = None
         self._hash: Optional[int] = None
+        self._digest: Optional[str] = None
 
     # -- construction -------------------------------------------------
 
@@ -136,12 +139,13 @@ class Complex:
 
     def _maximal_sorted(self) -> tuple[Simplex, ...]:
         """The cached maximal simplexes.  The set is downward-closed, so
-        these are exactly the simplexes that are no simplex's facet."""
+        these are exactly the simplexes that are no simplex's facet.  A
+        vertex's only facet is (), which is never a simplex."""
         if self._maximal is None:
-            covered: set[Simplex] = set()
-            for s in self._simplexes:
-                covered.update(facets(s))
-            self._maximal = tuple(sorted(self._simplexes - covered))
+            simps = self._simplexes
+            sizes = [len(s) - 1 for s in simps]
+            covered = set(chain.from_iterable(map(combinations, simps, sizes)))
+            self._maximal = tuple(sorted(simps - covered))
         return self._maximal
 
     def f_vector(self) -> tuple[int, ...]:
@@ -170,14 +174,24 @@ class Complex:
     # -- serialization helpers ------------------------------------------
 
     def canonical_json(self) -> str:
-        return json.dumps(
-            {"dimension": self._dim, "maximal_simplexes": [list(s) for s in self.maximal_simplexes()]},
-            separators=(",", ":"),
-        )
+        """``{"dimension": n, "maximal_simplexes": [...]}`` without spaces,
+        the sorted maximal simplexes as lists.  orjson writes it; a label of
+        2^64 or more makes orjson raise TypeError, and ``json`` writes it
+        instead.  Both write ints, lists and the two keys the same way."""
+        data = {"dimension": self._dim, "maximal_simplexes": self._maximal_sorted()}
+        try:
+            return orjson.dumps(data).decode()
+        except TypeError:
+            return json.dumps(data, separators=(",", ":"))
 
     def digest(self) -> str:
-        """Stable hash of the canonical serialization."""
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+        """Stable hash of the canonical serialization, computed on the first
+        call.  A ``Complex`` never changes, and ``WorkingComplex.snapshot``
+        hands over its maximal simplexes before anyone can read the digest,
+        so the memo is the digest of the complex it is stored on."""
+        if self._digest is None:
+            self._digest = hashlib.sha256(self.canonical_json().encode()).hexdigest()
+        return self._digest
 
 
 def facet_mates(tops: Collection[Simplex]) -> list[int]:

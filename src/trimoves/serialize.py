@@ -6,9 +6,11 @@ structures so identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import numpy as np
+import orjson
 
 from .complexes import Complex, close_under_faces, simplex
 from .geometry import GeomComplex, Geometry
@@ -30,9 +32,17 @@ def json_int(value, what: str = "vertex label") -> int:
 
 
 def json_number(value, what: str):
-    """``value`` if it is a JSON int or float; a bool or string is a TypeError."""
+    """``value`` if it is a JSON int or float that converts to a finite
+    float.  A bool or string is a TypeError; an infinity, a NaN or an int
+    too large for a float is a ValueError."""
     if type(value) not in (int, float):
         raise TypeError(f"{what} {value!r} is not a number")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"{what} {value!r} is not a finite number")
     return value
 
 
@@ -205,56 +215,31 @@ def common_subdivision_to_dict(common: CommonSubdivision) -> dict:
     return out
 
 
-_escape = json.encoder.encode_basestring_ascii
-
-
-class _NotPlain(Exception):
-    """A dict key that is not a str: only ``json`` itself sorts and writes
-    such keys the way it does."""
-
-
 def dumps(data: dict) -> str:
     """``json.dumps(data, indent=2, sort_keys=True)``, byte for byte.
 
-    With an indent, ``json`` cannot use its C encoder.  This writes dicts,
-    lists and tuples itself, joins a list of plain ints in one ``str.join``,
-    escapes strings with ``json``'s own C escaper and hands every other
-    value (floats, bools, None, subclasses) to ``json.dumps``.  A dict with
-    a key that is not a str sends the whole value to ``json.dumps``."""
+    orjson writes the indented text when its compact sorted output equals
+    ``json``'s (``separators=(",", ":")``, which runs on ``json``'s C
+    encoder).  Equal compact outputs are equal token streams, and both
+    writers indent a token stream the same way: two spaces per level, ","
+    and a newline between items, ": " after a key, and "[]" and "{}" for
+    empty containers.  The guard is needed: orjson writes some floats
+    differently (1e-05 as 0.00001, 1e+16 as 1e16), writes non-ASCII text
+    and DEL unescaped and NaN as null, and rejects ints of 64 bits or more
+    and keys that are not strs.  On any difference, or any TypeError
+    (orjson's JSONEncodeError is one), ``json.dumps`` itself writes the
+    value, and raises what ``json`` raises for values it rejects.  ``json``
+    writes its compact text first: it holds one str per token until it
+    joins them, the peak memory of the call, and orjson's buffer is not
+    alive then."""
     try:
-        return _encode(data, "\n")
-    except _NotPlain:
-        return json.dumps(data, indent=2, sort_keys=True)
-
-
-def _encode(o, nl: str) -> str:
-    """``o`` as ``json.dumps`` writes it at the indent ``nl`` (a newline and
-    the current indent)."""
-    t = type(o)
-    if t is str:
-        return _escape(o)
-    if t is int:
-        return int.__repr__(o)
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
-        inner = nl + "  "
-        if any(type(k) is not str for k in o):
-            raise _NotPlain
-        body = ("," + inner).join(
-            [_escape(k) + ": " + _encode(v, inner) for k, v in sorted(o.items())]
-        )
-        return "{" + inner + body + nl + "}"
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        inner = nl + "  "
-        if all(type(x) is int for x in o):
-            body = ("," + inner).join(map(int.__repr__, o))
-        else:
-            body = ("," + inner).join([_encode(x, inner) for x in o])
-        return "[" + inner + body + nl + "]"
-    return json.dumps(o)
+        compact = json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
+        same = compact == orjson.dumps(data, option=orjson.OPT_SORT_KEYS)
+    except TypeError:
+        same = False
+    if same:
+        return orjson.dumps(data, option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS).decode()
+    return json.dumps(data, indent=2, sort_keys=True)
 
 
 def loads(text: str) -> dict:

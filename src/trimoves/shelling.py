@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import chain, combinations
-from typing import Iterator, Optional
+from itertools import chain
+from typing import Optional
 
 from .complexes import Complex, Simplex, WorkingComplex, facet_mates, facets
 from .pachner import (
@@ -124,6 +124,12 @@ class _BallState:
         """The boundary ridges."""
         return self.boundary.maximal()
 
+    def _is_boundary_ridge(self, r: Simplex) -> bool:
+        """r, with as many vertices as a ridge, lies in ∂M.  ∂M's maximal
+        simplexes are exactly the boundary ridges, and a face of that size
+        lies in ∂M only when it is itself one, so this is one lookup."""
+        return r in self.boundary.maximal_at.get(r[0], ())
+
     def step_is_valid(self, a: Simplex, b: Simplex) -> bool:
         """Check A ∩ ∂M = ∂A and B ⋆ ∂A ⊆ ∂M against the current state, for
         the top t = A ⋆ B with A nonempty and sorted (as every caller builds
@@ -136,35 +142,31 @@ class _BallState:
           itself a boundary ridge.
         - Every proper face of A lies in some t∖{x}, so it lies in ∂M.
         """
-        bd = self.boundary
-        if a in bd:
+        if a in self.boundary:
             return False
         t = tuple(sorted(a + b))
-        for x in a:
-            i = t.index(x)
-            if t[:i] + t[i + 1 :] not in bd:
-                return False
-        return True
+        return all(self._is_boundary_ridge(tuple(v for v in t if v != x)) for x in a)
 
-    def valid_steps(self, t: Simplex) -> Iterator[ShellingStep]:
-        """The valid (A, B) splits of top simplex t, largest dim A first."""
-        for k in range(len(t) - 1, 0, -1):
-            for a in combinations(t, k):
-                b = tuple(v for v in t if v not in a)
-                if self.step_is_valid(a, b):
-                    yield ShellingStep(a, b)
+    def valid_step(self, t: Simplex) -> Optional[ShellingStep]:
+        """The one valid (A, B) split of top simplex t, or None.
+
+        A valid A is exactly the set of vertices x of t whose facet t∖{x}
+        is a boundary ridge, found by one lookup per facet.  It lies in that
+        set by the step test; and if it missed a vertex x′ of the set, it
+        would lie in the boundary ridge t∖{x′}, so in ∂M.  So that set is
+        the only candidate: it is a step when it is nonempty, B = t∖A is
+        nonempty and A ∉ ∂M.  A vertex has no facets, so no step."""
+        if len(t) < 2:
+            return None
+        a = tuple(x for x in t if self._is_boundary_ridge(tuple(v for v in t if v != x)))
+        if not a or len(a) == len(t) or a in self.boundary:
+            return None
+        return ShellingStep(a, tuple(v for v in t if v not in a))
 
     def candidate_steps(self) -> list[ShellingStep]:
-        """Valid steps, restricted to tops owning a boundary ridge (every
-        valid step's top has B ⋆ (facet of A) on the boundary).  Ordered by
-        largest dim A first, then lexicographically."""
-        bd = self.bd_ridges
-        out = [
-            step
-            for t in self.tops
-            if any(r in bd for r in facets(t))
-            for step in self.valid_steps(t)
-        ]
+        """The valid step of every top that has one, largest dim A first,
+        then lexicographically."""
+        out = [step for step in map(self.valid_step, self.tops) if step is not None]
         out.sort(key=lambda s: (-len(s.a), s.a, s.b))
         return out
 
@@ -224,7 +226,7 @@ def _greedy_shelling(state: _BallState) -> Optional[Shelling]:
         seen_push.discard(t)
         if t not in state.tops:
             continue
-        step = next(state.valid_steps(t), None)
+        step = state.valid_step(t)
         if step is None:
             continue
         state.apply(step)
@@ -253,9 +255,9 @@ def find_shelling(ball: Complex) -> Optional[Shelling]:
     to sorted tuples and preserves their lexicographic order:
     - the greedy heap pops the least pending top, and holds each top at
       most once, so it pops the same tops in the same order;
-    - ``sorted(bd_ridges)`` and ``candidate_steps`` sort, and splits come
-      from ``combinations`` of sorted tops, so steps are tried in the same
-      order;
+    - ``sorted(bd_ridges)`` and ``candidate_steps`` sort, and a top's one
+      step is a subsequence of the sorted top, so steps are tried in the
+      same order;
     - the order in which a set yields its members only changes the order of
       pushes into the heap, and the final set has one member.
     The purity test, the top count and the node count do not depend on the

@@ -358,12 +358,16 @@ GRID3_COORDINATES = geom_complex_to_dict(grid_torus_complex(3))["coordinates"]
          "bad geometric data: coordinate '0.333' is not a number"),
         ("geometric", "coordinates", {**GRID3_COORDINATES, "1": [False, 1 / 3]},
          "bad geometric data: coordinate False is not a number"),
+        ("geometric", "coordinates", {**GRID3_COORDINATES, "1": [10**400, 1 / 3]},
+         f"bad geometric data: coordinate {10**400} is not a finite number"),
+        ("geometric", "coordinates", {**GRID3_COORDINATES, "1": [float("inf"), 1 / 3]},
+         "bad geometric data: coordinate inf is not a finite number"),
     ],
     ids=["vertices-int", "vertices-mixed", "barycenters-int", "barycenters-flat",
          "barycenters-null", "coordinates-list", "simplex-float", "simplex-bool",
          "vertices-float", "barycenters-float", "move-float", "move-bool",
          "coordinate-key-padded", "coordinate-key-spaced", "coordinate-string",
-         "coordinate-bool"],
+         "coordinate-bool", "coordinate-huge-int", "coordinate-infinity"],
 )
 def test_malformed_field_exit_2(tmp_path, capsys, kind, key, value, message):
     # the first six once escaped their loader as a TypeError or
@@ -460,6 +464,24 @@ class TestBoundCli:
         inp.write_text(json.dumps(data))
         assert main(["bound", "compute", "--input", str(inp)]) == 2
         assert f"bad manifold data: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("lam", 10**400), ("diam", 10**400), ("inj", 10**400), ("lam", float("inf")),
+         ("vol", float("nan"))],
+        ids=["lam-huge", "diam-huge", "inj-huge", "lam-infinity", "vol-nan"],
+    )
+    def test_non_finite_number_exit_2(self, tmp_path, capsys, key, value):
+        # a number no float holds once ended in an OverflowError (lam) or a
+        # ZeroDivisionError (diam) traceback, or exited 0 (inj)
+        data = {"geometry": "hyperbolic", "n": 3, "lam": 1.0, "p": 10, "q": 12, "vol": 1.0}
+        if key == "inj":
+            data = {"geometry": "euclidean", "n": 2, "lam": 1.0, "p": 10, "q": 12}
+        data[key] = value
+        inp = tmp_path / "mfd.json"
+        inp.write_text(json.dumps(data))
+        assert main(["bound", "compute", "--input", str(inp)]) == 2
+        assert f"bad manifold data: {key} {value!r} is not a finite number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("orientable, volhyp_m", [(True, 35), (False, 134)])
     def test_orientable_flag(self, tmp_path, orientable, volhyp_m):

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 import re
 
@@ -184,6 +186,54 @@ class TestInvariants:
                 p(pk, i) * p(pl, kk - 1 - i) for i in range(-1, kk + 1)
             ) + p(pk, kk) + p(pl, kk)
             assert j.f_vector()[kk] == expected
+
+
+def json_canonical(k: Complex) -> str:
+    """The canonical text as ``json`` writes it, any label size."""
+    return json.dumps(
+        {"dimension": k.dimension, "maximal_simplexes": [list(s) for s in k.maximal_simplexes()]},
+        separators=(",", ":"),
+    )
+
+
+@st.composite
+def labelled_complexes(draw):
+    """Up to five maximal simplexes on labels below 2^70, so that some reach
+    2^64, where orjson stops writing ints."""
+    labels = draw(st.lists(st.integers(0, 2**70), min_size=1, max_size=8, unique=True))
+    maxes = draw(st.lists(
+        st.lists(st.sampled_from(labels), min_size=1, max_size=4, unique=True),
+        min_size=1, max_size=5,
+    ))
+    return close_under_faces(maxes)
+
+
+class TestDigest:
+    @settings(max_examples=150, deadline=None)
+    @given(labelled_complexes())
+    def test_canonical_json_equals_json_dumps(self, k):
+        assert k.canonical_json() == json_canonical(k)
+
+    @pytest.mark.parametrize("big", [2**63 - 1, 2**63, 2**64 - 1, 2**64, 2**64 + 1, 10**30])
+    def test_canonical_json_at_the_64_bit_edge(self, big):
+        k = close_under_faces([(0, big), (1,)])
+        assert k.canonical_json() == json_canonical(k)
+        assert k.digest() == hashlib.sha256(json_canonical(k).encode()).hexdigest()
+
+    def test_memoised_digest_equals_a_fresh_one(self):
+        # the first digest() call stores the digest; a second call, a
+        # complex built afresh from the same simplexes and a snapshot all
+        # give the text's hash, also after moves change the working complex
+        rng = random.Random(5)
+        for k in [boundary_delta3(), octahedron(), random_closed_surface(rng, 6)]:
+            expected = hashlib.sha256(json_canonical(k).encode()).hexdigest()
+            assert k.digest() == k.digest() == expected
+            assert Complex(set(k.simplexes)).digest() == expected
+            work = WorkingComplex(k)
+            assert work.snapshot().digest() == expected
+            apply_moves(work, [rng.choice(enumerate_moves(k))], k.dimension)
+            snap = work.snapshot()
+            assert snap.digest() == Complex(set(snap.simplexes)).digest() != expected
 
 
 def literal_pure(k: Complex) -> bool:

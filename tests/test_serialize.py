@@ -1,3 +1,5 @@
+import dataclasses
+import datetime
 import json
 
 import numpy as np
@@ -109,10 +111,27 @@ class TestGeomFormat:
         with pytest.raises(FormatError):
             geom_complex_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "x", [10**400, -(10**400), float("inf"), float("nan")],
+        ids=["huge-int", "negative-huge-int", "infinity", "nan"],
+    )
+    def test_non_finite_coordinate_rejected(self, x):
+        # float() of the int overflowed out of the loader as OverflowError
+        data = geom_complex_to_dict(grid_torus_complex(3))
+        data["coordinates"]["0"] = [x, 0.0]
+        with pytest.raises(FormatError, match="coordinate .* is not a finite number"):
+            geom_complex_from_dict(loads(json.dumps(data)))
+
     def test_dumps_sorted_and_stable(self):
         gk = grid_torus_complex(3)
         assert dumps(geom_complex_to_dict(gk)) == dumps(geom_complex_to_dict(gk))
         assert dumps(geom_complex_to_dict(gk)) == json_dumps(geom_complex_to_dict(gk))
+
+
+@dataclasses.dataclass
+class Point:
+    x: int
+    y: int
 
 
 def json_dumps(data) -> str:
@@ -153,7 +172,33 @@ class TestDumps:
             {2: [1], 1: "a"},
             {"a": {None: 1}, "b": {True: 2, 0: 3}},
             {"a": {1.5: 2}},
+            # DEL and control characters, which orjson writes unescaped or
+            # differently, in keys and values
+            {"\x7f": "\x1f", "\x1f": ["\x7f", "a\x7fb"]},
+            # floats orjson writes in other forms (0.00001, 1e16)
+            {"f": [1e-05, 1e16, 9.999e15, 5e-324, -1e-05, 1e-7, 123456789012345680.0]},
+            # ints orjson rejects, inside a list
+            {"ints": [1, 2**64, -(2**64) - 1, 2**64 - 1]},
         ],
     )
     def test_equals_json_dumps_on_edge_values(self, data):
         assert dumps(data) == json_dumps(data)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"when": datetime.datetime(2020, 1, 2, 3, 4, 5)},
+            {"point": [Point(1, 2)]},
+            {"v": {1, 2}},
+            {"a": [1, b"bytes"]},
+        ],
+        ids=["datetime", "dataclass", "set", "bytes"],
+    )
+    def test_raises_what_json_raises(self, data):
+        # orjson writes datetimes and dataclasses; json rejects them, and so
+        # must dumps
+        with pytest.raises(TypeError) as expected:
+            json_dumps(data)
+        with pytest.raises(TypeError) as got:
+            dumps(data)
+        assert str(got.value) == str(expected.value)

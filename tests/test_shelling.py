@@ -11,6 +11,7 @@ from trimoves.pachner import SearchCapExceeded, apply_sequence
 from trimoves.reduction import memoized_shelling
 from trimoves.shelling import (
     ShellingError,
+    ShellingStep,
     _BallState,
     _greedy_shelling,
     boundary_complex,
@@ -182,6 +183,61 @@ def test_step_predicate_matches_oracle_along_shellings(monkeypatch):
         assert state.tops == {shelling.final}
 
 
+def searched_step_is_valid(state: _BallState, a, b) -> bool:
+    """The step test as a face search: A ∉ ∂M and every t∖{x}, x ∈ A, in ∂M
+    through ``WorkingComplex`` membership."""
+    bd = state.boundary
+    if a in bd:
+        return False
+    t = tuple(sorted(a + b))
+    return all(tuple(v for v in t if v != x) in bd for x in a)
+
+
+def enumerated_steps(state: _BallState, t) -> list[ShellingStep]:
+    """Every split of t that passes the searched step test, largest A
+    first, then in ``combinations`` order."""
+    return [
+        ShellingStep(a, tuple(v for v in t if v not in a))
+        for k in range(len(t) - 1, 0, -1)
+        for a in itertools.combinations(t, k)
+        if searched_step_is_valid(state, a, tuple(v for v in t if v not in a))
+    ]
+
+
+@pytest.mark.parametrize(
+    "ball",
+    [random_ball_2d(random.Random(seed), 4 + 4 * seed) for seed in range(4)]
+    + [random_ball_3d(random.Random(seed), 3 + 3 * seed) for seed in range(4)]
+    + [barycentric(close_under_faces([range(n + 1)])).complex for n in (2, 3)],
+    ids=[f"2d-{seed}" for seed in range(4)] + [f"3d-{seed}" for seed in range(4)]
+    + ["beta-triangle", "beta-tetrahedron"],
+)
+def test_valid_step_is_the_enumeration(ball):
+    # at every state of the greedy shelling, and after each candidate step
+    # from it (the DFS's states), valid_step (one ridge lookup per facet of
+    # t) is the one split that the searched step test accepts on t, or None
+    # when it accepts none
+    state = _BallState(ball)
+    shelling = _greedy_shelling(state)
+    assert shelling is not None
+    state = _BallState(ball)
+    seen = 0
+    for step in shelling.steps + (None,):
+        for candidate in [None] + state.candidate_steps():
+            if candidate is not None:
+                state.apply(candidate)
+            for t in state.tops:
+                found = state.valid_step(t)
+                assert enumerated_steps(state, t) == ([found] if found else []), t
+                seen += found is not None
+            if candidate is not None:
+                state.undo(candidate)
+        if step is None:
+            break
+        state.apply(step)
+    assert seen > len(shelling.steps)
+
+
 class TestFindShelling:
     def test_two_triangles(self):
         sh = find_shelling(two_triangles())
@@ -233,6 +289,12 @@ class TestFindShelling:
         sh = find_shelling(ball)
         assert sh is not None and len(sh.steps) == ball.f_vector()[-1] - 1
         assert verify_shelling(ball, sh)
+
+    def test_points(self):
+        # a vertex has no facets: one point is its own shelling, two points
+        # have none, and the search says so without reading a facet
+        assert find_shelling(close_under_faces([(3,)])).final == (3,)
+        assert find_shelling(close_under_faces([(0,), (1,)])) is None
 
     def test_closed_complex_has_no_steps(self):
         # a closed pseudomanifold has no boundary, so no step qualifies and
