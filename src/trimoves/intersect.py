@@ -13,10 +13,10 @@ Each clip vertex carries the set of defining hyperplanes, which is what
 reconstructs the face lattice of a cell.  The labels also name the
 vertex's carriers, the smallest faces of the two parent simplexes that
 contain it, and that pair is its key: cells are glued into one polytopal
-complex by identifying vertices with equal carrier keys (``_assemble``),
-and a face's carriers are the unions of its vertices'.  The barycentric
-subdivision of the result is a simplicial complex carrying every simplex
-to its smallest containing simplex in both parents.
+complex by identifying vertices with equal carrier keys (``_assemble``).
+The barycentric subdivision of the result is a simplicial complex that
+subdivides both parents; it records the carriers of its vertices, and a
+simplex's carriers are the unions of its vertices'.
 
 The one closed-manifold path supported end to end is the flat torus
 R^d/(period Z)^d for d <= 2: per pair, the translates of one lifted
@@ -322,17 +322,17 @@ class FaceRec:
     dim: int
     vids: tuple[int, ...]
     lift: np.ndarray
-    carrier1: Simplex
-    carrier2: Simplex
     boundary: set = field(default_factory=set)
 
 
 @dataclass
 class PolytopalComplex:
-    """Identified face poset of all pairwise intersection cells."""
+    """Identified face poset of all pairwise intersection cells; vertex i
+    has the carrier pair ``vertex_carriers[i]``."""
 
     dim: int
     vertices: dict[int, np.ndarray]
+    vertex_carriers: list[tuple[Simplex, Simplex]]
     cells: list[ConvexCell]
     faces: dict[tuple[int, ...], FaceRec]
     period: Optional[float]
@@ -424,10 +424,10 @@ def _assemble(cells: list, dim: int, period: Optional[float], discarded: list) -
     of length at least the period, yet p and p′ lie within diam σ + diam τ
     < period of each other (the diameter precondition of
     ``torus_intersect``).  The first point seen under a key, wrapped onto
-    the torus, gives the vertex its coordinates.  A face's carriers are the
-    unions of its vertices' carriers (the barycentric support of a convex
-    combination is the union of the supports), so they are read off the
-    labels that all its vertices share.
+    the torus, gives the vertex its coordinates, and the keys in id order
+    are the vertex carriers.  A face's carriers are the unions of its
+    vertices' (the barycentric support of a convex combination is the
+    union of the supports), so faces keep none.
     """
     ids: dict[tuple[Simplex, Simplex], int] = {}
     vertices: dict[int, np.ndarray] = {}
@@ -453,17 +453,14 @@ def _assemble(cells: list, dim: int, period: Optional[float], discarded: list) -
                 key = tuple(sorted(vids[i] for i in local))
                 rec = faces.get(key)
                 if rec is None:
-                    shared = frozenset.intersection(*(labels[i] for i in local))
-                    rec = faces[key] = FaceRec(
-                        d, key, arr[list(local)], *_label_carriers(prov, shared)
-                    )
+                    rec = faces[key] = FaceRec(d, key, arr[list(local)])
                 lset = set(local)
                 rec.boundary.update(
                     tuple(sorted(vids[i] for i in lower))
                     for lower in lattice.get(d - 1, ())
                     if set(lower) <= lset
                 )
-    return PolytopalComplex(dim, vertices, out, faces, period, discarded)
+    return PolytopalComplex(dim, vertices, list(ids), out, faces, period, discarded)
 
 
 # -- public operations -------------------------------------------------------
@@ -528,21 +525,18 @@ def torus_intersect(k1: GeomComplex, k2: GeomComplex) -> PolytopalComplex:
 
 @dataclass
 class CommonSubdivision:
-    """β of the intersection complex: simplicial, with carriers into both
-    parents and coordinates for every vertex."""
+    """β of the intersection complex: one simplicial complex that subdivides
+    both parents, as ``side1`` and ``side2``, with coordinates for every
+    vertex."""
 
-    complex: Complex
+    side1: SubdividedComplex
+    side2: SubdividedComplex
     coords: dict[int, np.ndarray]
-    carrier1: dict[Simplex, Simplex]
-    carrier2: dict[Simplex, Simplex]
-    parent1: Complex
-    parent2: Complex
     period: Optional[float]
 
-    def as_subdivided(self, which: int) -> SubdividedComplex:
-        if which == 1:
-            return SubdividedComplex(self.complex, self.parent1, dict(self.carrier1))
-        return SubdividedComplex(self.complex, self.parent2, dict(self.carrier2))
+    @property
+    def complex(self) -> Complex:
+        return self.side1.complex
 
     def as_geom(self) -> GeomComplex:
         return GeomComplex(self.complex, Geometry.EUCLIDEAN, dict(self.coords), self.period)
@@ -552,31 +546,27 @@ def barycentric_polytopal(
     poly: PolytopalComplex, k1: GeomComplex, k2: GeomComplex
 ) -> CommonSubdivision:
     """Cone every cell over its subdivided boundary, by ascending dimension,
-    with the barycenter at the cell's chart centroid."""
+    with the barycenter at the cell's chart centroid, which each parent
+    carries by the union of the face's vertices' carriers."""
     coords: dict[int, np.ndarray] = dict(poly.vertices)
-    carrier1: dict[Simplex, Simplex] = {}
-    carrier2: dict[Simplex, Simplex] = {}
-    sub: dict[tuple, set[Simplex]] = {}
-    for rec in poly.faces_of_dim(0):
-        sub[rec.vids] = {rec.vids}
-        carrier1[rec.vids] = rec.carrier1
-        carrier2[rec.vids] = rec.carrier2
+    carrier1 = {vid: c1 for vid, (c1, _) in enumerate(poly.vertex_carriers)}
+    carrier2 = {vid: c2 for vid, (_, c2) in enumerate(poly.vertex_carriers)}
+    sub: dict[tuple, set[Simplex]] = {rec.vids: {rec.vids} for rec in poly.faces_of_dim(0)}
     keys = [rec.vids for d in range(1, poly.dim + 1) for rec in poly.faces_of_dim(d)]
     cones = cone_faces(keys, lambda key: poly.faces[key].boundary, sub, len(poly.vertices))
-    for key, apex, cone in cones:
-        rec = poly.faces[key]
-        coords[apex] = torus_wrap(np.mean(rec.lift, axis=0), poly.period)
-        for s in cone:
-            carrier1[s] = rec.carrier1
-            carrier2[s] = rec.carrier2
+    for key, apex in cones:
+        coords[apex] = torus_wrap(np.mean(poly.faces[key].lift, axis=0), poly.period)
+        carrier1[apex] = tuple(sorted(set().union(*(carrier1[v] for v in key))))
+        carrier2[apex] = tuple(sorted(set().union(*(carrier2[v] for v in key))))
     out: set[Simplex] = set()
     for cell in poly.cells:
         out |= sub[tuple(sorted(cell.vertex_ids))]
     complex_ = Complex(out)  # validated: the cone construction must be closed
-    carrier1 = {s: carrier1[s] for s in complex_.simplexes}
-    carrier2 = {s: carrier2[s] for s in complex_.simplexes}
     return CommonSubdivision(
-        complex_, coords, carrier1, carrier2, k1.complex, k2.complex, poly.period
+        SubdividedComplex(complex_, k1.complex, carrier1),
+        SubdividedComplex(complex_, k2.complex, carrier2),
+        coords,
+        poly.period,
     )
 
 
@@ -587,8 +577,8 @@ def commonsub_count_check(
     "skeleton" lists side 1's rows), plus measure conservation."""
     n = k1.complex.dimension
     rows = commonsub_rows(
-        skeleton_counts(common.as_subdivided(1)),
-        skeleton_counts(common.as_subdivided(2)),
+        skeleton_counts(common.side1),
+        skeleton_counts(common.side2),
         k1.complex.f_vector(),
         k2.complex.f_vector(),
     )

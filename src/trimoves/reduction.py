@@ -145,11 +145,7 @@ def alpha_to_beta(
 
     work = WorkingComplex(alpha.complex, reserve_above=k.max_label())
     parent = WorkingComplex(k)
-    kvertex_of = {
-        s[0]: alpha.carrier[s][0]
-        for s in alpha.complex.simplexes
-        if len(s) == 1 and len(alpha.carrier[s]) == 1
-    }
+    kvertex_of = {v: c[0] for v, c in alpha.vertex_carrier.items() if len(c) == 1}
     trace = ReductionTrace()
     trace.reduction_bound = reduction_sum_bound(n, p, s_counts)
     moves: list[PachnerMove] = []
@@ -351,8 +347,7 @@ def relate(k1: GeomComplex, k2: GeomComplex, *, verify: bool = True) -> RelateRe
 
     poly = torus_intersect(b1, b2)
     common = barycentric_polytopal(poly, b1, b2)
-    sub1 = common.as_subdivided(1)
-    sub2 = common.as_subdivided(2)
+    sub1, sub2 = common.side1, common.side2
     f1, f2 = b1.complex.f_vector(), b2.complex.f_vector()
     violation = commonsub_violation(
         commonsub_rows(skeleton_counts(sub1), skeleton_counts(sub2), f1, f2)
@@ -372,7 +367,7 @@ def relate(k1: GeomComplex, k2: GeomComplex, *, verify: bool = True) -> RelateRe
     common_vertices = frozenset(
         v
         for v in common.complex.vertices()
-        if len(common.carrier1[(v,)]) == 1 and len(common.carrier2[(v,)]) == 1
+        if len(sub1.vertex_carrier[v]) == 1 and len(sub2.vertex_carrier[v]) == 1
     )
     removed = full.removed_vertices() & common_vertices
     if removed:

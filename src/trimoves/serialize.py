@@ -76,32 +76,54 @@ def complex_from_dict(data: dict) -> Complex:
     return k
 
 
+def _carrier_rows(sub: SubdividedComplex) -> list:
+    """[simplex, carrier] for every simplex of ``sub``, sorted."""
+    return [[list(s), list(sub.carrier(s))] for s in sorted(sub.complex.simplexes)]
+
+
 def subdivided_to_dict(sub: SubdividedComplex) -> dict:
     out = complex_to_dict(sub.complex)
     out["parent"] = complex_to_dict(sub.parent)
-    out["carrier"] = [
-        [list(child), list(parent)] for child, parent in sorted(sub.carrier.items())
-    ]
+    out["carrier"] = _carrier_rows(sub)
     if sub.apex_of:
         out["barycenters"] = [[list(s), v] for s, v in sorted(sub.apex_of.items())]
     return out
 
 
 def subdivided_from_dict(data: dict) -> SubdividedComplex:
+    """A validated subdivision.  The file needs exactly one carrier entry per
+    simplex of the child, each the union of its vertices' entries; any
+    other entry is a FormatError naming it."""
     parent = complex_from_dict(data["parent"])
     child = complex_from_dict(data)
     try:
-        carrier = {
-            tuple(json_int(v) for v in c): tuple(json_int(v) for v in p)
+        entries = [
+            (tuple(json_int(v) for v in c), tuple(json_int(v) for v in p))
             for c, p in data["carrier"]
-        }
+        ]
         apex_of = {
             tuple(json_int(v) for v in s): json_int(b)
             for s, b in data.get("barycenters", [])
         }
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"bad carrier or barycenter data: {e}") from e
-    sub = SubdividedComplex(child, parent, carrier, apex_of)
+    carrier: dict = {}
+    for c, p in entries:
+        if c not in child:
+            raise FormatError(f"carrier entry for {c}, which is not a simplex of the subdivision")
+        if c in carrier:
+            raise FormatError(f"repeated carrier entry for {c}")
+        carrier[c] = p
+    if len(carrier) < len(child):
+        raise FormatError(f"no carrier entry for {min(child.simplexes - carrier.keys())}")
+    vertex_carrier = {c[0]: p for c, p in carrier.items() if len(c) == 1}
+    sub = SubdividedComplex(child, parent, vertex_carrier, apex_of)
+    for c, p in carrier.items():
+        if sub.carrier(c) != p:
+            raise FormatError(
+                f"carrier entry {c} -> {p} is not the union of its vertices' "
+                f"carriers, {sub.carrier(c)}"
+            )
     sub.validate()
     return sub
 
@@ -206,12 +228,8 @@ def common_subdivision_to_dict(common: CommonSubdivision) -> dict:
     out["coordinates"] = {
         str(v): [float(x) for x in common.coords[v]] for v in common.complex.vertices()
     }
-    out["carrier1"] = [
-        [list(c), list(p)] for c, p in sorted(common.carrier1.items())
-    ]
-    out["carrier2"] = [
-        [list(c), list(p)] for c, p in sorted(common.carrier2.items())
-    ]
+    out["carrier1"] = _carrier_rows(common.side1)
+    out["carrier2"] = _carrier_rows(common.side2)
     return out
 
 

@@ -397,6 +397,65 @@ def test_malformed_field_exit_2(tmp_path, capsys, kind, key, value, message):
     assert message in capsys.readouterr().err
 
 
+def alpha2beta_exit(tmp_path, k, alpha: dict) -> int:
+    """Exit code of ``reduce alpha2beta`` on the complex k and the
+    subdivision file ``alpha``."""
+    paths = tmp_path / "k.json", tmp_path / "alpha.json"
+    paths[0].write_text(dumps(complex_to_dict(k)))
+    paths[1].write_text(json.dumps(alpha))
+    return main(["reduce", "alpha2beta", "--complex", str(paths[0]), "--alpha", str(paths[1])])
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ("extra", "carrier entry for (1, 2), which is not a simplex of the subdivision"),
+        ("missing", "no carrier entry for (14,)"),
+        ("repeated", "repeated carrier entry for (1,)"),
+    ],
+)
+def test_subdivision_needs_one_carrier_entry_per_simplex(tmp_path, capsys, edit, message):
+    # vertices 1 and 2 of β(∂Δ³) are not adjacent; an entry for (1, 2) once
+    # loaded, and the reduction then failed on "S((1, 2, 3)): star
+    # neighbourhood is not pure" (exit 1), blaming itself for the input
+    from trimoves.serialize import subdivided_to_dict
+    from trimoves.subdivision import barycentric
+
+    data = subdivided_to_dict(barycentric(boundary_delta3()))
+    if edit == "extra":
+        data["carrier"].append([[1, 2], [1, 2]])
+    elif edit == "missing":
+        data["carrier"].pop()
+    else:
+        data["carrier"].append(data["carrier"][0])
+    assert alpha2beta_exit(tmp_path, boundary_delta3(), data) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+def test_subdivision_carrier_must_be_the_union_of_its_vertices(tmp_path, capsys):
+    # a flat triangle (0, 4, 6) with 4 and 6 on the edge (0, 1): declared
+    # carried by the whole triangle (0, 1, 2), the carrier map is monotone,
+    # covers the parent and is never too small, but the union of its
+    # vertices' carriers is (0, 1)
+    from trimoves.complexes import close_under_faces
+
+    parent = close_under_faces([(0, 1, 2)])
+    child = close_under_faces([(0, 4, 6), (0, 3, 6), (1, 3, 6), (1, 2, 3), (0, 2, 3)])
+    vertex_carrier = {0: {0}, 1: {1}, 2: {2}, 3: {0, 1, 2}, 4: {0, 1}, 6: {0, 1}}
+    declared = {(0, 6): (0, 1, 2), (0, 4, 6): (0, 1, 2)}
+    data = complex_to_dict(child)
+    data["parent"] = complex_to_dict(parent)
+    data["carrier"] = [
+        [list(s), list(declared.get(s) or sorted(set().union(*(vertex_carrier[v] for v in s))))]
+        for s in sorted(child.simplexes)
+    ]
+    assert alpha2beta_exit(tmp_path, parent, data) == 2
+    assert capsys.readouterr().err == (
+        "input error: carrier entry (0, 4, 6) -> (0, 1, 2) is not the union of "
+        "its vertices' carriers, (0, 1)\n"
+    )
+
+
 def test_relate_on_near_coincident_tori_exits_1(tmp_path, capsys):
     # a carrier too small for its simplex is a failed check of the common
     # subdivision, not an input error

@@ -267,8 +267,8 @@ class TestBarycentricPolytopal:
         poly = intersect_linear(k1, k2)
         common = barycentric_polytopal(poly, k1, k2)
         assert common.complex.f_vector()[2] == 24
-        common.as_subdivided(1).validate()
-        common.as_subdivided(2).validate()
+        common.side1.validate()
+        common.side2.validate()
 
     def test_one_dimensional(self):
         k1 = interval_complex([0.0, 0.4, 1.0])
@@ -310,7 +310,7 @@ class TestBarycentricPolytopal:
         common = barycentric_polytopal(poly, k1, k2)
         gk = common.as_geom()
         for s in list(common.complex.simplexes)[:200]:
-            c1 = common.carrier1[s]
+            c1 = common.side1.carrier(s)
             chart = k1.lift(c1)
             lifted = gk.lift(s)
             anchor = lifted.mean(axis=0)
@@ -404,8 +404,8 @@ INTERSECTION_SHA = {
 
 
 class TestCarrierKeys:
-    """Clip vertices are identified, and faces carried, by the carrier pairs
-    their clip labels name."""
+    """Clip vertices are identified, and carried, by the carrier pairs their
+    clip labels name, and faces by the unions of their vertices'."""
 
     @pytest.mark.parametrize("name", sorted(INTERSECTION_SHA))
     def test_output_matches_pin(self, name):
@@ -422,9 +422,15 @@ class TestCarrierKeys:
     @pytest.mark.parametrize("name", sorted(INTERSECTION_SHA))
     def test_label_carriers_match_barycentric_support(self, name):
         # oracle: the smallest parent faces containing a face's points, from
-        # barycentric coordinates in the charts of every cell with the face
+        # barycentric coordinates in the charts of every cell with the face,
+        # against the union of the face's vertices' carriers
         k1, k2, intersect = carrier_fixture(name)
         poly = intersect(k1, k2)
+        common = barycentric_polytopal(poly, k1, k2)
+
+        def union(side, vids):
+            return tuple(sorted(set().union(*(side.carrier((v,)) for v in vids))))
+
         checked = 0
         for cell in poly.cells:
             s1, s2 = cell.provenance
@@ -440,8 +446,8 @@ class TestCarrierKeys:
                 for local in faces:
                     rec = poly.faces[tuple(sorted(vids[i] for i in local))]
                     for simplex, chart, carrier in (
-                        (s1, c1, rec.carrier1),
-                        (s2, c2, rec.carrier2),
+                        (s1, c1, union(common.side1, rec.vids)),
+                        (s2, c2, union(common.side2, rec.vids)),
                     ):
                         a = np.vstack([chart.T, np.ones(len(chart))])
                         support = set()
@@ -501,7 +507,7 @@ class TestThreeD:
         assert poly.total_measure() == pytest.approx(1 / 6, rel=1e-9)
         assert len(poly.cells) == 4
         common = barycentric_polytopal(poly, k1, k2)
-        common.as_subdivided(1).validate()
+        common.side1.validate()
         report = commonsub_count_check(k1, k2, common)
         assert report["measure_ok"]
         # beta of a 3-cell: one tetrahedron per (facet, facet edge, cone) pair

@@ -155,7 +155,7 @@ class TestAlphaToBeta:
             a, b = [s for s in ref.apex_of if len(s) == 3][:2]
             apex_of = dict(ref.apex_of)
             apex_of[a], apex_of[b] = apex_of[b], apex_of[a]
-            return SubdividedComplex(ref.complex, ref.parent, ref.carrier, apex_of)
+            return SubdividedComplex(ref.complex, ref.parent, ref.vertex_carrier, apex_of)
 
         monkeypatch.setattr(reduction, "partial_relative", swapped)
         k = boundary_delta3()
@@ -172,7 +172,7 @@ class TestAlphaToBeta:
             a, b = [s for s in ref.apex_of if len(s) == 3][:2]
             apex_of = dict(ref.apex_of)
             apex_of[b] = apex_of[a]
-            return SubdividedComplex(ref.complex, ref.parent, ref.carrier, apex_of)
+            return SubdividedComplex(ref.complex, ref.parent, ref.vertex_carrier, apex_of)
 
         monkeypatch.setattr(reduction, "partial_relative", merged)
         k = boundary_delta3()
@@ -289,8 +289,9 @@ class TestBetaSquaredBridge:
         from trimoves.complexes import Complex
 
         out = Complex(simps, _assume_closed=True)
-        carrier = {s: carrier[s] for s in out.simplexes}
-        return SubdividedComplex(out, k, carrier)
+        sub = SubdividedComplex(out, k, {s[0]: c for s, c in carrier.items() if len(s) == 1})
+        assert all(sub.carrier(s) == carrier[s] for s in out.simplexes)
+        return sub
 
     def test_bridge_on_identity_subdivision(self):
         # kprime = k reduces to the plain two-extra-layer behaviour

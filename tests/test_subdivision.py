@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -10,6 +11,8 @@ from trimoves.complexes import close_under_faces, find_isomorphism
 from trimoves.fixtures import random_closed_surface
 from trimoves.subdivision import (
     ResourceCapExceeded,
+    SubdividedComplex,
+    SubdivisionError,
     barycentric,
     barycentric_f_vector,
     compose_carriers,
@@ -42,7 +45,7 @@ class TestBarycentric:
         sub = barycentric(k)
         assert set(k.vertices()) <= set(sub.complex.vertices())
         for v in k.vertices():
-            assert sub.carrier[(v,)] == (v,)
+            assert sub.vertex_carrier[v] == (v,)
 
     def test_skeleton_count_law(self):
         # i-skeleton counts of beta K are (i+1)! p_i exactly
@@ -109,7 +112,8 @@ class TestIterated:
         k = boundary_delta3()
         assert barycentric_f_vector(k.f_vector(), 2) == (74, 216, 144)
         monkeypatch.setattr(subdivision, "partial_relative", no_build)
-        with pytest.raises(ResourceCapExceeded, match="434 simplexes"):
+        message = r"^β\^2 would have 434 simplexes, above the cap 433$"
+        with pytest.raises(ResourceCapExceeded, match=message):
             iterated_barycentric(k, 2, max_simplexes=433)
 
     def test_in_build_cap_counts_distinct_simplexes(self):
@@ -121,7 +125,7 @@ class TestIterated:
             iterated_barycentric(k, 2, max_simplexes=433)
 
     def test_negative_m(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^m must be non-negative$"):
             iterated_barycentric(boundary_delta3(), -1)
 
 
@@ -148,11 +152,21 @@ class TestPartialRelative:
     def test_carrier_consistency_checked(self):
         k = boundary_delta3()
         alpha = barycentric(k)
-        broken = type(alpha)(alpha.complex, alpha.parent, dict(alpha.carrier))
-        victim = next(s for s in broken.carrier if len(s) == 1 and s not in k.simplexes)
-        del broken.carrier[victim]
-        with pytest.raises((KeyError, ValueError)):
+        broken = type(alpha)(alpha.complex, alpha.parent, dict(alpha.vertex_carrier))
+        victim = next(v for v in broken.vertex_carrier if (v,) not in k.simplexes)
+        del broken.vertex_carrier[victim]
+        with pytest.raises(SubdivisionError, match=rf"^carrier missing for \({victim},\)$"):
             partial_relative(k, broken, 0)
+
+    def test_inputs_checked(self):
+        k = close_under_faces([(1, 2, 3)])
+        with pytest.raises(ValueError, match="^alpha must be a subdivision of k$"):
+            partial_relative(boundary_delta3(), barycentric(k), 0)
+        with pytest.raises(ValueError, match=r"^need 0 <= r <= 2, got 3$"):
+            partial_relative(k, identity_subdivision(k), 3)
+        edge = SubdividedComplex(close_under_faces([(1, 2)]), k, {1: (1,), 2: (2,)})
+        with pytest.raises(ValueError, match=r"^alpha has no simplexes carried by \(3,\)$"):
+            partial_relative(k, edge, 0)
 
     def test_identity_subdivision_counts(self):
         k = boundary_delta3()
@@ -175,8 +189,13 @@ class TestComposeCarriers:
         comp = compose_carriers(second, first)
         comp.validate()
         # every vertex of beta^2 carried by an edge of K lies on that edge
-        for s, c in comp.carrier.items():
-            assert c in k.simplexes
+        for s in comp.complex.simplexes:
+            assert comp.carrier(s) in k.simplexes
+
+    def test_outer_must_subdivide_inner(self):
+        first = barycentric(close_under_faces([(1, 2, 3)]))
+        with pytest.raises(ValueError, match="^outer must subdivide inner.complex$"):
+            compose_carriers(first, first)
 
     @pytest.mark.parametrize("top", [(0, 1, 2), (0, 1, 2, 3)])
     def test_composed_carrier_matches_geometric_support(self, top):
@@ -202,7 +221,7 @@ class TestComposeCarriers:
                 coords = np.linalg.solve(mat, np.append(g2.coords[v], 1.0))
                 support |= {i for i, c in enumerate(coords) if c > 1e-12}
             geometric_carrier = tuple(sorted(top[i] for i in support))
-            assert comp.carrier[s] == geometric_carrier
+            assert comp.carrier(s) == geometric_carrier
 
 
 # sha256 of dumps(subdivided_to_dict(...)): every simplex, carrier and apex
@@ -257,3 +276,33 @@ def test_fuzzed_skeleton_count_law(k):
 @given(small_complexes())
 def test_fuzzed_carrier_monotone(k):
     barycentric(k).validate()
+
+
+PATH = [(1, 2), (2, 3)]
+# (parent, child, vertex carriers, the message validate raises): each of its
+# four checks, and a vertex without a carrier
+INVALID = {
+    "vertex-carrier-missing": (PATH, PATH, {1: (1,), 3: (3,)}, "carrier missing for (2,)"),
+    "vertex-carrier-not-in-parent": (
+        PATH, PATH, {1: (1,), 2: (1, 3), 3: (3,)}, "carrier (1, 3) of (2,) not in parent complex"
+    ),
+    "union-not-in-parent": (
+        PATH, [(1, 3), (2,)], {1: (1,), 2: (2,), 3: (3,)},
+        "carrier (1, 3) of (1, 3) not in parent complex",
+    ),
+    "too-small": (
+        [(1, 2)], [(1, 2, 3)], {1: (1,), 2: (2,), 3: (1, 2)}, "carrier (1, 2) too small for (1, 2, 3)"
+    ),
+    "uncovered": (
+        [(1, 2, 3)], [(1, 2), (2, 3), (1, 3)], {1: (1,), 2: (2,), 3: (3,)},
+        "parent simplex (1, 2, 3) has no subdividing simplex",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVALID))
+def test_validate_names_the_simplex_at_fault(name):
+    parent, child, vertex_carrier, message = INVALID[name]
+    sub = SubdividedComplex(close_under_faces(child), close_under_faces(parent), vertex_carrier)
+    with pytest.raises(SubdivisionError, match=f"^{re.escape(message)}$"):
+        sub.validate()
