@@ -263,16 +263,14 @@ def cmd_reduce(args) -> int:
         _action_inputs(args),
         {},
     )
-    if args.action == "alpha2beta":
+    if args.action in ("alpha2beta", "bridge"):
         k = _load_complex(args.complex)
-        alpha = subdivided_from_dict(_read_json(args.alpha))
-        seq, trace = alpha_to_beta(k, alpha)
-        write({"sequence": sequence_to_dict(seq), "trace": _trace_dict(trace)})
-        return EXIT_OK
-    if args.action == "bridge":
-        k = _load_complex(args.complex)
-        kprime = subdivided_from_dict(_read_json(args.kprime))
-        seq, trace = beta2_bridge(k, kprime)
+        if args.action == "alpha2beta":
+            seq, trace = alpha_to_beta(k, subdivided_from_dict(_read_json(args.alpha)))
+        else:
+            seq, trace = beta2_bridge(k, subdivided_from_dict(_read_json(args.kprime)))
+        # the reduction emits its moves unapplied: check each one before writing
+        replay_verified(trace.start, seq, expect=trace.result)
         write({"sequence": sequence_to_dict(seq), "trace": _trace_dict(trace)})
         return EXIT_OK
     k1 = _load_geom(args.k1)

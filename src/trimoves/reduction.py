@@ -9,7 +9,8 @@ free: after level r the working complex, relabelled by the apex map, is
 equal to the partial subdivision at level r - 1, and at the end to the plain
 barycentric subdivision of the parent, whatever its size.  No parent vertex
 is ever removed.  Every starring is generated from a shelling certificate
-and validated move by move against the ambient complex.
+and applied as one replacement of S(A) by the cone; its moves are emitted
+unapplied, and ``replay_verified`` checks them move by move.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from .geometry import GeomComplex, Geometry, geometric_barycentric
 from .intersect import CommonSubdivision, IntersectionError, barycentric_polytopal, torus_intersect
 from .pachner import MoveSequence, PachnerMove, replay_verified
 from .pachner import apply_move_inplace  # noqa: F401  unused; perfbench's tracer patches it here
-from .shelling import Shelling, ShellingError, find_shelling, star_ball_inplace
+from .shelling import _unpaired_facets, find_shelling, starring_moves
 from .subdivision import (
     SubdividedComplex,
     SubdivisionError,
@@ -48,13 +49,15 @@ class ReductionTrace:
     apex map (``apex_of[a]`` to the reference's apex for ``a``, the identity
     elsewhere), equals the partial subdivision at level r.
     ``final_isomorphism`` is the level-0 map extended by the identity; it
-    sends ``result`` onto the barycentric subdivision of the parent.
+    sends ``result`` onto the barycentric subdivision of the parent.  The
+    moves take ``start``, the subdivision reduced, to ``result``.
     """
 
     per_level_moves: dict[int, int] = field(default_factory=dict)
     per_level_bounds: dict[int, int] = field(default_factory=dict)
     total_moves: int = 0
     reduction_bound: int = 0
+    start: Optional[Complex] = None
     result: Optional[Complex] = None
     final_isomorphism: Optional[Isomorphism] = None
     apex_of: dict[Simplex, int] = field(default_factory=dict)
@@ -80,33 +83,64 @@ def _link_chains(lk: set[Simplex], a: Simplex, apex_of: dict[Simplex, int]) -> s
 BRIDGE_LAYERS = 2  # barycentric layers beta2_bridge puts on kprime
 
 
-def memoized_shelling(ball: Complex, memo: dict) -> tuple[Optional[Shelling], bool]:
-    """``find_shelling(ball)``, served from ``memo`` when a ball of the same
-    order type was shelled before.  Returns the shelling and whether it was
-    served from the memo.
+@dataclass(frozen=True)
+class Starring:
+    """The starring of a shelled ball M from a fresh apex, in ranks: rank i
+    is ``labels[i]``, the i-th smallest vertex of M, and the apex is rank
+    ``len(labels)``.  ``moves`` are the (A, B) of ``starring_moves`` on the
+    shelling, and ``cone`` the tops apex ⋆ r of apex ⋆ ∂M, one per boundary
+    ridge r of M."""
+
+    labels: tuple[int, ...]
+    moves: tuple[tuple[Simplex, Simplex], ...]
+    cone: tuple[Simplex, ...]
+
+    def at(self, apex: int) -> tuple[list[PachnerMove], list[Simplex]]:
+        """The moves and the cone's tops from ``apex``, which must exceed
+        every vertex of M: ranks to labels is then order-preserving, so each
+        relabelled simplex stays sorted."""
+        if apex <= self.labels[-1]:
+            raise ValueError(f"apex {apex} is not above the ball's vertices")
+        label = (*self.labels, apex).__getitem__
+        moves = [PachnerMove(tuple(map(label, a)), tuple(map(label, b))) for a, b in self.moves]
+        return moves, [tuple(map(label, t)) for t in self.cone]
+
+
+def memoized_shelling(ball: Complex, memo: dict) -> tuple[Optional[Starring], bool]:
+    """The starring of ``ball`` from its shelling (``find_shelling``),
+    served from ``memo`` when a ball of the same order type was shelled
+    before.  Returns the starring, None when the ball has no shelling, and
+    whether it was served from the memo.
 
     The key is the sorted maximal simplexes, each vertex replaced by its
-    rank among the ball's vertices; the memo holds the shelling in ranks.  A
-    complex is the closure of its maximal simplexes, so two balls with equal
-    keys differ by the order-preserving bijection between their vertices,
-    and ``find_shelling`` commutes with such maps (proof in its docstring),
-    so a hit is the search's own answer.  Only successful shellings are
-    stored, and only a pure ball has one, so a non-pure ball, whose key has
-    a lower-dimensional maximal simplex, never hits and is searched (and
-    rejected) as before; ``alpha_to_beta`` rejects such a ball before it
-    gets here.
+    rank among the ball's vertices; the memo holds the ``Starring`` in ranks
+    (its moves and cone), so a hit only relabels tuples.  A complex is the
+    closure of its maximal simplexes, so two balls with equal keys differ by
+    the order-preserving bijection between their vertices, and
+    ``find_shelling`` commutes with such maps (proof in its docstring), as
+    do ``starring_moves`` and the boundary ridges, with the apex above
+    every vertex; so a hit is the search's own starring.  Only successful
+    shellings are stored, and only a pure ball has one, so a non-pure ball,
+    whose key has a lower-dimensional maximal simplex, never hits and is
+    searched (and rejected) as before; ``alpha_to_beta`` rejects such a ball
+    before it gets here.
     """
     maximal = ball.maximal_simplexes()
-    vertices = sorted({v for m in maximal for v in m})
-    rank = {v: i for i, v in enumerate(vertices)}
+    labels = tuple(sorted({v for m in maximal for v in m}))
+    rank = {v: i for i, v in enumerate(labels)}
     key = tuple(tuple(rank[v] for v in m) for m in maximal)
     stored = memo.get(key)
     if stored is not None:
-        return stored.relabel(vertices), True
+        return Starring(labels, *stored), True
     shelling = find_shelling(ball)
-    if shelling is not None:
-        memo[key] = shelling.relabel(rank)
-    return shelling, False
+    if shelling is None:
+        return None, False
+    apex = len(labels)
+    stored = memo[key] = (
+        tuple((m.a, m.b) for m in starring_moves(shelling.relabel(rank), apex)),
+        tuple(r + (apex,) for r in _unpaired_facets(key)),
+    )
+    return Starring(labels, *stored), False
 
 
 def alpha_to_beta(
@@ -116,23 +150,39 @@ def alpha_to_beta(
     subdivision of ``k``, up to the relabelling ``trace.final_isomorphism``.
 
     Raises ReductionError naming S(A) when some star neighbourhood is not
-    pure or admits no shelling, and SubdivisionError (a ValueError) when
-    ``alpha`` fails ``SubdividedComplex.validate``.  Each order type of S(A)
-    is searched once per call (``memoized_shelling``); every move is still
-    checked against the working complex, and every level exactly.
+    pure, admits no shelling or has a top that is not maximal in the
+    working complex, and SubdivisionError (a ValueError) when ``alpha``
+    fails ``SubdividedComplex.validate``.  Each order type of S(A) is
+    searched once per call (``memoized_shelling``), and every level is
+    checked exactly.
 
     S(A) = α|A ⋆ β(lk_K A) is built from its definition (``_link_chains``),
-    and only the moves and the level check read the working complex.  This
-    is the star neighbourhood of α|A there: at the start of level r the
+    and only the starring and the level check read the working complex.
+    This is the star neighbourhood of α|A there: at the start of level r the
     working complex is P_r relabelled, the partial subdivision at level r
     (``_check_level`` checks it after level r + 1; at r = n it is α).  In
-    P_r every simplex through a top s of α|A is s ∪ (a chain of apexes over
-    cofaces of A), as s is maximal among the α-simplexes carried in the
-    r-skeleton, and starring another r-simplex A′ never touches s, whose
-    carrier A is not a face of A′.  Each top of S(A) contains a top of α|A,
-    and the moves check that it is maximal in the working complex.  K is a
-    closed pseudomanifold, so lk A is pure of dimension n − r − 1 and S(A)
+    P_r every simplex through a face σ of α|A carried by A is s ∪ (a chain
+    of apexes over cofaces of A) for an α-simplex s ⊇ σ, as s is carried in
+    the r-skeleton by a simplex containing A, so by A; and starring another
+    r-simplex A′ never touches σ, whose carrier A is not a face of A′.  K is
+    a closed pseudomanifold, so lk A is pure of dimension n − r − 1 and S(A)
     is n-dimensional.
+
+    Each S(A) is starred by one ``replace``: its tops out, apex ⋆ r in for
+    each boundary ridge r, and the moves of its shelling (``Starring``) are
+    emitted without being applied.  Lemma (Pachner 1991; Lickorish 1999):
+    the starring moves of a shelling of a ball M, whose tops are maximal
+    and whose interior faces lie in no simplex outside M, take M to
+    apex ⋆ ∂M and leave the rest of the complex as it was.  The interior
+    faces of S(A) = α|A ⋆ β(lk A), a ball joined to a sphere, are those
+    that contain a face of α|A carried by A, so by the above they lie in no
+    simplex outside S(A); the tops are checked to be maximal.  The replace
+    is thus the moves' result, but nothing here trusts it: the level check
+    compares the whole working complex with the reference after every
+    level, and every emitted sequence is replayed move by move, once, by
+    ``replay_verified`` (``relate``, and ``trimoves reduce alpha2beta`` and
+    ``reduce bridge``), against the end digest of the replaced complex, so
+    any disagreement between the moves and the complex fails the replay.
     """
     if not k.is_closed_pseudomanifold():
         raise ReductionError("the parent complex must be a closed pseudomanifold")
@@ -161,16 +211,18 @@ def alpha_to_beta(
             ball = Complex(join_simplexes(children, chains), _assume_closed=True)
             if not ball.is_pure():
                 raise ReductionError(f"S({a}): star neighbourhood is not pure")
-            shelling, reused = memoized_shelling(ball, memo)
+            starring, reused = memoized_shelling(ball, memo)
             trace.shellings_reused += reused
             trace.shellings_searched += not reused
-            if shelling is None:
+            if starring is None:
                 raise ReductionError(f"S({a}): star neighbourhood is not shellable")
+            tops = ball.maximal_simplexes()
+            for t in tops:
+                if t not in work.maximal_at.get(t[0], ()):
+                    raise ReductionError(f"S({a}): top {t} is not maximal in the working complex")
             apex = work.fresh_label()
-            try:
-                mvs = star_ball_inplace(work, shelling, apex, n)
-            except ShellingError as e:
-                raise ShellingError(f"starring S({a}): {e}") from e
+            mvs, cone = starring.at(apex)
+            work.replace(tops, cone)
             trace.apex_of[a] = apex
             level_moves += len(mvs)
             moves.extend(mvs)
@@ -193,6 +245,7 @@ def alpha_to_beta(
     if removed:
         raise ReductionError(f"moves removed parent vertices {sorted(removed)}")
 
+    trace.start = alpha.complex
     trace.result = result
     trace.final_isomorphism = Isomorphism({v: relabel.get(v, v) for v in result.vertices()})
     return seq, trace

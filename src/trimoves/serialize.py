@@ -94,6 +94,8 @@ def subdivided_from_dict(data: dict) -> SubdividedComplex:
     """A validated subdivision.  The file needs exactly one carrier entry per
     simplex of the child, each the union of its vertices' entries; any
     other entry is a FormatError naming it."""
+    if "parent" not in data:
+        raise FormatError("subdivision has no 'parent' key")
     parent = complex_from_dict(data["parent"])
     child = complex_from_dict(data)
     try:

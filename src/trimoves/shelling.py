@@ -324,33 +324,17 @@ def starring_moves(shelling: Shelling, apex: int) -> list[PachnerMove]:
     return moves
 
 
-def star_ball_inplace(
-    work: WorkingComplex, shelling: Shelling, apex: int, n: int
-) -> list[PachnerMove]:
-    """Star the ball shelled by ``shelling`` inside an n-dimensional working
-    complex from the fresh vertex ``apex``.
-
-    Every move is checked against the ambient complex before it is applied
-    (the link of A must be exactly ∂(apex ⋆ B)), which turns the
-    containment argument for stars of interior faces into a runtime check;
-    each top of the ball must be maximal there.  Returns the applied moves.
-    """
-    moves = starring_moves(shelling, apex)
-    try:
-        apply_moves(work, moves, n)
-    except MoveError as e:
-        raise ShellingError(f"ambient link condition violated: {e}") from e
-    return moves
-
-
 def star_via_shelling(
     ambient: Complex, ball: Complex, apex: Optional[int] = None
 ) -> tuple[MoveSequence, Complex]:
     """Replace ``ball`` inside ``ambient`` by the cone on its boundary.
 
-    Emits exactly one move per top simplex of the ball.  The result
-    contains apex ⋆ ∂ball in place of the ball and is returned alongside
-    the digest-stamped sequence.
+    Emits exactly one move per top simplex of the ball.  Every move is
+    checked against the ambient complex before it is applied (the link of
+    A must be exactly ∂(apex ⋆ B)), which turns the containment argument
+    for stars of interior faces into a runtime check.  The result contains
+    apex ⋆ ∂ball in place of the ball and is returned alongside the
+    digest-stamped sequence.
     """
     shelling = find_shelling(ball)
     if shelling is None:
@@ -364,7 +348,11 @@ def star_via_shelling(
     apex = work.fresh_label() if apex is None else apex
     if (apex,) in work:
         raise ShellingError(f"apex {apex} already present in ambient complex")
-    moves = star_ball_inplace(work, shelling, apex, ambient.dimension)
+    moves = starring_moves(shelling, apex)
+    try:
+        apply_moves(work, moves, ambient.dimension)
+    except MoveError as e:
+        raise ShellingError(f"ambient link condition violated: {e}") from e
     result = work.snapshot()
     if work.link_simplexes((apex,)) != boundary_complex(ball).simplexes:
         raise ShellingError("starred apex link does not equal the ball boundary")

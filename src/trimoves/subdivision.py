@@ -12,7 +12,7 @@ two runs on the same input produce identical complexes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from math import comb
 from typing import Callable, Hashable, Iterable, Iterator
@@ -201,10 +201,12 @@ def compose_carriers(
     subdivides ``inner.parent``; the result carries ``outer.complex`` into
     ``inner.parent``.  Each vertex is mapped through ``inner``, and unions
     commute with that: ∪_v inner.carrier(outer.carrier(v)) over v ∈ s is
-    inner.carrier(∪_v outer.carrier(v)) = inner.carrier(outer.carrier(s))."""
+    inner.carrier(∪_v outer.carrier(v)) = inner.carrier(outer.carrier(s)).
+    Each distinct carrier mask of ``inner`` is decoded once."""
     if outer.parent.simplexes != inner.complex.simplexes:
         raise ValueError("outer must subdivide inner.complex")
-    vertex_carrier = {v: inner.carrier(c) for v, c in outer.vertex_carrier.items()}
+    masks, decode = inner._masks, cache(inner._simplex_of)
+    vertex_carrier = {v: decode(masks[c]) for v, c in outer.vertex_carrier.items()}
     return SubdividedComplex(outer.complex, inner.parent, vertex_carrier, dict(outer.apex_of))
 
 

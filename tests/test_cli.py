@@ -260,6 +260,51 @@ class TestReduceSubcommands:
         data = json.loads(out.read_text())
         assert any("two-layer bound" in n for n in data["trace"]["notes"])
 
+    @pytest.mark.parametrize(
+        "action, option, apex", [("alpha2beta", "--alpha", 15), ("bridge", "--kprime", 435)]
+    )
+    def test_wrong_starring_move_fails_the_replay(self, sphere_file, tmp_path, capsys,
+                                                  monkeypatch, action, option, apex):
+        # the first starring's cone move is emitted the wrong way round, from
+        # the first fresh apex; the reduction applies the starring as one
+        # replace, so its bounds and level checks pass, and the replay
+        # before writing must catch it
+        import dataclasses
+
+        from trimoves import reduction
+        from trimoves.serialize import subdivided_to_dict
+        from trimoves.subdivision import barycentric
+
+        real = reduction.memoized_shelling
+        calls = []
+
+        def one_wrong_move(ball, memo):
+            starring, reused = real(ball, memo)
+            calls.append(ball)
+            if len(calls) == 1:
+                (a, b), *rest = starring.moves
+                starring = dataclasses.replace(starring, moves=((b, a), *rest))
+            return starring, reused
+
+        monkeypatch.setattr(reduction, "memoized_shelling", one_wrong_move)
+        sub = tmp_path / "sub.json"
+        sub.write_text(dumps(subdivided_to_dict(barycentric(boundary_delta3()))))
+        out = tmp_path / "out.json"
+        assert main(["reduce", action, "--complex", sphere_file, option, str(sub),
+                     "--output", str(out)]) == 1
+        assert capsys.readouterr().err == f"verification failure: move simplex ({apex},) absent\n"
+        assert not out.exists()
+
+    def test_subdivide_output_is_not_a_subdivision_file(self, sphere_file, tmp_path, capsys):
+        # `subdivide --output` nests the subdivision under "subdivision",
+        # next to the manifest, so the file itself has no parent
+        alpha = tmp_path / "alpha.json"
+        assert main(["subdivide", "--input", sphere_file, "--mode", "bary",
+                     "--output", str(alpha)]) == 0
+        assert main(["reduce", "alpha2beta", "--complex", sphere_file,
+                     "--alpha", str(alpha)]) == 2
+        assert capsys.readouterr().err == "input error: subdivision has no 'parent' key\n"
+
     def test_bridge_size_cap_exit_3(self, tmp_path, capsys):
         # the bridge puts two more layers on kprime = β²(∂Δ⁴), which would
         # make 7,238,880 simplexes; the prediction stops it before any build

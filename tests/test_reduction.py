@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.util
 import itertools
@@ -13,9 +14,10 @@ import pytest
 from trimoves.bounds import barymoves_bound, reduction_sum_bound, bridge_sum_bound
 from trimoves.complexes import WorkingComplex, close_under_faces, find_isomorphism
 from trimoves.fixtures import circle_complex, grid_torus_complex, random_closed_surface
+from trimoves.geometry import GeomComplex, Geometry
 from trimoves.intersect import IntersectionError
 from trimoves import bounds, reduction, serialize
-from trimoves.pachner import apply_moves, apply_sequence, replay_verified
+from trimoves.pachner import MoveSequence, PachnerMove, apply_moves, apply_sequence, replay_verified
 from trimoves.reduction import (
     ReductionError,
     alpha_to_beta,
@@ -203,6 +205,74 @@ class TestAlphaToBeta:
         with pytest.raises(ReductionError, match=r"^S\(\(\d+, \d+, \d+\)\): star neighbourhood"):
             alpha_to_beta(k, identity_subdivision(k))
 
+    def test_top_of_star_neighbourhood_must_be_maximal(self, monkeypatch):
+        # S((1, 2)) built with the apex 7 of (1, 3, 4) in place of the apex 6
+        # of (1, 2, 4) is a shellable 2-ball, but its top (1, 2, 7) is not
+        # in the working complex, so it cannot be starred by a replace
+        real = reduction._link_chains
+
+        def wrong_apex(lk, a, apex_of):
+            chains = real(lk, a, apex_of)
+            if a == (1, 2):
+                swap = {(apex_of[(1, 2, 4)],): (apex_of[(1, 3, 4)],)}
+                chains = {swap.get(c, c) for c in chains}
+            return chains
+
+        monkeypatch.setattr(reduction, "_link_chains", wrong_apex)
+        k = boundary_delta3()
+        with pytest.raises(
+            ReductionError,
+            match=r"^S\(\(1, 2\)\): top \(1, 2, 7\) is not maximal in the working complex$",
+        ):
+            alpha_to_beta(k, identity_subdivision(k))
+
+    def test_alpha_of_another_complex_rejected(self):
+        k = boundary_delta3()
+        other = close_under_faces([(0, 1), (1, 2), (0, 2)])
+        with pytest.raises(ReductionError, match=r"^alpha must subdivide the given complex$"):
+            alpha_to_beta(k, identity_subdivision(other))
+
+    def test_level_move_bound_checked(self, monkeypatch):
+        # level 2 of the identity on ∂Δ³ cones four triangles, one move each
+        monkeypatch.setattr(reduction, "reduction_level_bound", lambda n, r, p, s_r: 3)
+        k = boundary_delta3()
+        with pytest.raises(ReductionError, match=r"^level 2 used 4 moves, above its bound 3$"):
+            alpha_to_beta(k, identity_subdivision(k))
+
+    def test_total_move_bound_checked(self, monkeypatch):
+        # 4 + 12 moves against a sum bound of 15; the level bounds still hold
+        monkeypatch.setattr(reduction, "reduction_sum_bound", lambda n, p, s: 15)
+        k = boundary_delta3()
+        with pytest.raises(ReductionError, match=r"^total move count exceeds the reduction bound$"):
+            alpha_to_beta(k, identity_subdivision(k))
+
+    def test_parent_simplex_without_top_children_rejected(self):
+        # the edge (0, 1) of the triangle's boundary is carried only by the
+        # isolated vertex 3; the carriers pass validate, which does not ask
+        # for a subdividing simplex of full dimension
+        k = close_under_faces([(0, 1), (1, 2), (0, 2)])
+        child = close_under_faces([(0, 2), (1, 2), (3,)])
+        alpha = SubdividedComplex(child, k, {0: (0,), 1: (1,), 2: (2,), 3: (0, 1)})
+        alpha.validate()
+        with pytest.raises(ReductionError, match=r"^alpha restricted to \(0, 1\) has no top simplexes$"):
+            alpha_to_beta(k, alpha)
+
+    def test_moves_removing_a_parent_vertex_rejected(self, monkeypatch):
+        # the cone move of S((1, 2, 3)) swapped for one that removes vertex 1;
+        # the replace and so the level checks are unchanged
+        real = reduction.memoized_shelling
+
+        def removing(ball, memo):
+            starring, reused = real(ball, memo)
+            if starring.labels == (1, 2, 3):
+                starring = dataclasses.replace(starring, moves=(((0,), (1, 2, 3)),))
+            return starring, reused
+
+        monkeypatch.setattr(reduction, "memoized_shelling", removing)
+        k = boundary_delta3()
+        with pytest.raises(ReductionError, match=r"^moves removed parent vertices \[1\]$"):
+            alpha_to_beta(k, identity_subdivision(k))
+
 
 def searched_link_chains(work, tops_a, alpha_vertices):
     """The link part of S(A) found by a search of the working complex: the
@@ -228,7 +298,7 @@ def link_chain_case(kind, size, m, monkeypatch):
             return real(k, alpha)
 
         monkeypatch.setattr(reduction, "alpha_to_beta", spy)
-        relate(grid_torus_complex(size), grid_torus_complex(size, shift=(1 / 6, 1 / 6)), verify=False)
+        relate(grid_torus_complex(size), grid_torus_complex(size, shift=(1 / 6, 1 / 6)))
         return seen[0]
     if kind == "surface":
         k = random_closed_surface(random.Random(size), 3)
@@ -301,6 +371,13 @@ class TestBetaSquaredBridge:
         s_id = skeleton_counts(identity_subdivision(k))
         assert len(seq) <= bridge_sum_bound(n, p, s_id)
         assert find_isomorphism(trace.result, barycentric(k).complex) is not None
+
+    def test_two_layer_bound_checked(self, monkeypatch):
+        # the 12 moves on the triangle's boundary against a bound of 11
+        k = close_under_faces([(0, 1), (1, 2), (0, 2)])
+        monkeypatch.setattr(reduction, "bridge_sum_bound", lambda n, p, s: 11)
+        with pytest.raises(ReductionError, match=r"^bridge used 12 moves, above the two-layer bound 11$"):
+            beta2_bridge(k, identity_subdivision(k))
 
     def test_four_cycle_one_edge_split(self):
         k = close_under_faces([(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -382,7 +459,7 @@ class TestRelate:
     def test_small_shifted_tori(self):
         k1 = grid_torus_complex(3)
         k2 = grid_torus_complex(3, shift=(1 / 6, 1 / 6))
-        res = relate(k1, k2, verify=False)
+        res = relate(k1, k2)
         assert len(res.sequence) < res.bound_value
         # both endpoints are barycentric subdivisions of 18-triangle tori
         assert res.start.f_vector()[2] == 108
@@ -457,6 +534,43 @@ class TestRelate:
         ):
             relate(circle_complex(3), circle_complex(5, offset=0.09))
 
+    def test_sequence_removing_a_common_vertex_rejected(self, monkeypatch):
+        # side 2's sequence gets one more move, removing the common vertex 0
+        # of two equal circles (side 1's moves are run backwards, where the
+        # same move would add it)
+        real = reduction.alpha_to_beta
+        calls = []
+
+        def removing(k, alpha):
+            seq, trace = real(k, alpha)
+            calls.append(k)
+            if len(calls) == 2:
+                extra = PachnerMove((0,), (max(trace.result.vertices()) + 1, 1))
+                seq = MoveSequence(seq.moves + (extra,), seq.start_digest, seq.end_digest)
+            return seq, trace
+
+        monkeypatch.setattr(reduction, "alpha_to_beta", removing)
+        with pytest.raises(ReductionError, match=r"^sequence removed common vertices \[0\]$"):
+            relate(circle_complex(4), circle_complex(4))
+
+    def test_total_bound_checked(self, monkeypatch):
+        # the 16 moves relating two equal 4-gons against a bound of 16
+        monkeypatch.setattr(reduction, "total_bound", lambda n, p, q, m: 16)
+        with pytest.raises(ReductionError, match=r"^sequence length 16 reached the bound 16$"):
+            relate(circle_complex(4), circle_complex(4))
+
+    def test_rejects_non_euclidean_inputs(self):
+        k = circle_complex(3)
+        sphere = GeomComplex(k.complex, Geometry.SPHERICAL, {v: (1.0, 0.0, 0.0) for v in k.coords})
+        with pytest.raises(
+            ReductionError, match=r"^the desk-scale pipeline is Euclidean \(flat torus/circle\)$"
+        ):
+            relate(sphere, sphere)
+
+    def test_rejects_mixed_dimensions(self):
+        with pytest.raises(ReductionError, match=r"^the pipeline supports dimensions 1 and 2$"):
+            relate(circle_complex(3), grid_torus_complex(3))
+
     def test_rejects_mismatched_periods(self):
         with pytest.raises(ReductionError):
             relate(circle_complex(3), circle_complex(3, period=2.0))
@@ -464,11 +578,10 @@ class TestRelate:
     def test_pipeline_deterministic(self):
         k1 = grid_torus_complex(3)
         k2 = grid_torus_complex(3, shift=(1 / 6, 1 / 6))
-        a = relate(k1, k2, verify=False)
+        a = relate(k1, k2)
         b = relate(
             grid_torus_complex(3),
             grid_torus_complex(3, shift=(1 / 6, 1 / 6)),
-            verify=False,
         )
         assert a.sequence == b.sequence
         assert a.start.canonical_json() == b.start.canonical_json()
@@ -490,6 +603,10 @@ class TestRelate:
         # a Lambda below half the period needs no level
         stub.max_edge = lambda: 0.3
         assert _min_convexity_depth(stub) == 0
+        # (2/3)^65 * 1e30 is still far above half the period
+        stub.max_edge = lambda: 1e30
+        with pytest.raises(ReductionError, match=r"^convexity pre-subdivision depth ran away$"):
+            _min_convexity_depth(stub)
 
     def test_pre_subdivision_kicks_in_for_fat_simplexes(self, monkeypatch):
         # a jittered vertex can push a triangle's metric diameter past
@@ -518,7 +635,7 @@ class TestRelate:
         k2 = grid_torus_complex(3)
         k2.coords[4] = (k2.coords[4] + np.array([0.05, 0.045])) % 1.0
         assert k2.max_edge() >= 0.5
-        res = relate(k1, k2, verify=False)
+        res = relate(k1, k2)
         assert res.pre_subdivision_depth == 1
         # every pair and translate is still clipped: the counts the traced
         # benchmark run pins for this pair

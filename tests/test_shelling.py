@@ -17,6 +17,7 @@ from trimoves.shelling import (
     boundary_complex,
     find_shelling,
     star_via_shelling,
+    starring_moves,
     verify_shelling,
 )
 from trimoves.subdivision import barycentric, iterated_barycentric
@@ -453,27 +454,52 @@ def memo_oracle_balls(monkeypatch):
     return balls
 
 
+def fresh_starring(ball: Complex, apex: int):
+    """The starring moves of a fresh search, and the tops apex ⋆ r over the
+    boundary ridges r of the ball."""
+    shelling = find_shelling(ball)
+    assert verify_shelling(ball, shelling)
+    ridges = boundary_complex(ball).simplexes_of_dim(ball.dimension - 1)
+    return starring_moves(shelling, apex), sorted(r + (apex,) for r in ridges)
+
+
 def test_memoized_shelling_is_the_fresh_search_under_relabelling(monkeypatch):
-    # a hit serves φ applied to the stored shelling, which must be exactly
-    # what a fresh search finds on φ(ball); a relabelling that is not
-    # order-preserving still gets a valid shelling (the search's own)
+    # a hit serves the stored starring relabelled, which must be exactly the
+    # starring of what a fresh search finds on φ(ball) (starring_moves is
+    # injective on shellings); a relabelling that is not order-preserving
+    # misses and still gets the search's own starring
     rng = random.Random(5)
     balls = memo_oracle_balls(monkeypatch)
     assert {ball.dimension for ball in balls} == {2, 3}
     for ball in balls:
         memo = {}
+        apex = ball.max_label() + 1
         stored, hit = memoized_shelling(ball, memo)
-        assert not hit and stored == find_shelling(ball)
+        moves, cone = stored.at(apex)
+        assert not hit and (moves, sorted(cone)) == fresh_starring(ball, apex)
         for phi in order_preserving_maps(rng, ball.vertices(), 3):
             image = Isomorphism(phi).apply(ball)
+            apex = image.max_label() + 1
             served, hit = memoized_shelling(image, memo)
             assert hit
-            assert served == find_shelling(image) == stored.relabel(phi)
+            moves, cone = served.at(apex)
+            assert (moves, sorted(cone)) == fresh_starring(image, apex)
+            assert (served.moves, served.cone) == (stored.moves, stored.cone)
         psi = shuffled_map(rng, ball.vertices())
         image = Isomorphism(psi).apply(ball)
+        apex = image.max_label() + 1
         served, _ = memoized_shelling(image, memo)
-        assert verify_shelling(image, served)
-        assert served == find_shelling(image)
+        moves, cone = served.at(apex)
+        assert (moves, sorted(cone)) == fresh_starring(image, apex)
+
+
+def test_starring_needs_an_apex_above_the_ball():
+    # below the largest vertex the relabelled simplexes would not be sorted
+    ball = barycentric(close_under_faces([(1, 2, 3)])).complex
+    starring, _ = memoized_shelling(ball, {})
+    top = ball.max_label()
+    with pytest.raises(ValueError, match=f"^apex {top} is not above the ball's vertices$"):
+        starring.at(top)
 
 
 def test_non_pure_ball_with_stored_tops_is_not_served():
